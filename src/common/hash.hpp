@@ -1,8 +1,10 @@
 // Hashing utilities: FNV-1a (fast fingerprints) and SHA-256 (content
-// addressing in the IPFS substrate).
+// addressing: IPFS content ids, and the swarm's chunk names and per-chunk
+// verification on every bulk put and get).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -13,7 +15,9 @@ namespace ps {
 /// 64-bit FNV-1a over a byte string. Fast, non-cryptographic.
 std::uint64_t fnv1a64(BytesView data);
 
-/// Incremental SHA-256 (FIPS 180-4). Used for IPFS-style content IDs.
+/// Incremental SHA-256 (FIPS 180-4). Whole blocks go to a compression
+/// kernel chosen once per process: the x86 SHA extensions when the CPU has
+/// them, a portable loop otherwise (common/sha256_kernels.hpp).
 class Sha256 {
  public:
   Sha256();
@@ -32,8 +36,13 @@ class Sha256 {
   static std::string hex_digest(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend class Sha256Kernels;
+  using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                           std::size_t count);
 
+  explicit Sha256(BlockFn kernel);
+
+  BlockFn kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

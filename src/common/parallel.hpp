@@ -1,17 +1,16 @@
 // Shared-memory parallel loops.
 //
 // A small fork-join helper in the OpenMP `parallel for` idiom for the
-// compute-heavy inner loops (convolutions, batch training in ps_ml).
-// Static block scheduling, one task per worker; falls back to serial
-// execution for small ranges where thread startup would dominate.
+// compute-heavy inner loops (convolutions and batch training in ps_ml,
+// swarm manifest hashing). Static block scheduling, one block per worker;
+// falls back to serial execution for small ranges. The calling thread runs
+// blocks too, next to helper threads that start on first use and are
+// shared by every loop in the process, so loops may nest and may be called
+// from many threads at once.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ps {
 

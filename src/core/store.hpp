@@ -178,18 +178,18 @@ class Store : public std::enable_shared_from_this<Store> {
     if (tracing) tracer.record(trace_subject(name_, key), "connector.get");
     if (!data) return std::nullopt;
     metrics_bytes_got_ += data->size();
-    std::shared_ptr<const T> value;
+    std::optional<T> value;
     {
       obs::SpanScope serde("store.deserialize",
                            tracing ? trace_subject(name_, key)
                                    : std::string{},
                            "serde");
-      value = std::make_shared<const T>(deserialize_value<T>(*data));
+      value.emplace(deserialize_value<T>(*data));
     }
     if (tracing) tracer.record(trace_subject(name_, key), "deserialize");
-    cache_.put<T>(cache_key, value);
+    cache_fill(cache_key, *value);
     if (tracing) tracer.record(trace_subject(name_, key), "cache.insert");
-    return *value;
+    return value;
   }
 
   // -- asynchronous operations -------------------------------------------
@@ -246,14 +246,14 @@ class Store : public std::enable_shared_from_this<Store> {
           return;
         }
         metrics_bytes_got_ += data->size();
-        std::shared_ptr<const T> value;
+        std::optional<T> value;
         {
           obs::SpanScope serde("store.deserialize", cache_key, "serde");
-          value = std::make_shared<const T>(deserialize_value<T>(*data));
+          value.emplace(deserialize_value<T>(*data));
         }
-        cache_.put<T>(cache_key, value);
+        cache_fill(cache_key, *value);
         inflight_erase(in_flight_key);
-        promise.set_value(std::optional<T>(*value));
+        promise.set_value(std::move(value));
       } catch (...) {
         inflight_erase(in_flight_key);
         promise.set_error(std::current_exception());
@@ -351,17 +351,15 @@ class Store : public std::enable_shared_from_this<Store> {
             continue;
           }
           metrics_bytes_got_ += results[done]->size();
-          std::shared_ptr<const T> value;
+          std::optional<T>& value = out[miss.index];
           {
             obs::SpanScope serde("store.deserialize", miss.cache_key,
                                  "serde");
-            value = std::make_shared<const T>(
-                deserialize_value<T>(*results[done]));
+            value.emplace(deserialize_value<T>(*results[done]));
           }
-          cache_.put<T>(miss.cache_key, value);
-          out[miss.index] = *value;
+          cache_fill(miss.cache_key, *value);
           inflight_erase(in_flight_key);
-          miss.promise.set_value(std::optional<T>(*value));
+          miss.promise.set_value(value);  // joined waiters get their copy
         }
       } catch (...) {
         // Fail every promise not yet fulfilled so joined waiters unblock.
@@ -562,6 +560,15 @@ class Store : public std::enable_shared_from_this<Store> {
       throw SerializationError(
           "Store: type has no serde codec and no registered serializer");
     }
+  }
+
+  /// Copies a freshly deserialized value into the cache. A disabled cache
+  /// (capacity 0) takes nothing, so cache-off reads return the deserialized
+  /// value itself.
+  template <typename T>
+  void cache_fill(const std::string& cache_key, const T& value) {
+    if (cache_.capacity() == 0) return;
+    cache_.put<T>(cache_key, std::make_shared<const T>(value));
   }
 
   template <typename T>

@@ -64,10 +64,18 @@ struct Manifest {
 /// The content-addressed key a chunk is stored under on every holder.
 core::Key chunk_key(const std::string& hash);
 
-/// Splits `data` into `chunk_size` pieces, hashes each (charging the caller
-/// `size / hash_Bps` virtual seconds per chunk — hashing is real compute on
-/// the critical path), and assigns `replication` distinct holders per chunk
-/// by rendezvous on the chunk hash across `backend_count` backends.
+/// True when `manifest` is safe to schedule over `backend_count` backends:
+/// its chunks tile [0, total_size) in order, each chunk's size is in
+/// (0, chunk_size], each has at least one holder and every holder indexes a
+/// backend, and each hash is 64 lowercase hex digits. A manifest read back
+/// from a backend that fails this was damaged in storage or in transit.
+bool well_formed(const Manifest& manifest, std::size_t backend_count);
+
+/// Splits `data` into `chunk_size` pieces, hashes them in parallel
+/// (charging the caller `size / hash_Bps` virtual seconds per chunk, in
+/// chunk order — hashing is real compute on the critical path), and assigns
+/// `replication` distinct holders per chunk by rendezvous on the chunk hash
+/// across `backend_count` backends.
 Manifest build_manifest(BytesView data, std::uint64_t chunk_size,
                         std::uint32_t backend_count, std::uint32_t replication,
                         double hash_Bps);

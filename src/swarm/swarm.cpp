@@ -167,19 +167,23 @@ core::Key SwarmConnector::put_chunked(BytesView data) {
   return key;
 }
 
-std::optional<Bytes> SwarmConnector::manifest_bytes(
-    const core::Key& key) const {
+std::optional<Manifest> SwarmConnector::manifest(const core::Key& key) const {
   const core::Key bare{.object_id = key.object_id, .meta = {}};
   // The manifest is replicated to every backend precisely so no single
   // replica gates the resolve: race all backends in vtime-parallel and
-  // merge only the earliest successful completion into the caller's clock —
-  // a slow or dead replica's manifest copy is simply outrun. (A sequential
-  // probe here would hand a degraded backend the whole resolve's latency
-  // before chunk scheduling could route around it.) The waiter joins on a
-  // latch, not Future::wait, so losers' vtimes are never merged.
+  // merge only the earliest valid completion into the caller's clock —
+  // a slow, dead or damaged replica's manifest copy is simply outrun. (A
+  // sequential probe here would hand a degraded backend the whole
+  // resolve's latency before chunk scheduling could route around it.) The
+  // waiter joins on a latch, not Future::wait, so losers' vtimes are never
+  // merged. Each replica is decoded and checked inside its own probe: the
+  // chunk scheduler indexes buffers and backends with the manifest's
+  // offsets and holders, so an unchecked replica could make it return
+  // wrong bytes or write out of bounds.
   struct Probe {
     double end_vtime = 0.0;
-    std::optional<Bytes> value;
+    std::optional<Manifest> value;
+    bool invalid = false;
   };
   std::vector<Probe> probes(backends_.size());
   std::mutex mu;
@@ -187,12 +191,25 @@ std::optional<Bytes> SwarmConnector::manifest_bytes(
   std::size_t pending = backends_.size();
   for (std::size_t b = 0; b < backends_.size(); ++b) {
     executor_->submit([this, b, &bare, &probes, &mu, &done, &pending] {
+      Probe& probe = probes[b];
+      std::optional<Bytes> raw;
       try {
-        probes[b].value = backends_[b].connector->get(bare);
+        raw = backends_[b].connector->get(bare);
       } catch (const Error&) {
         // Unreachable backend: another replica serves the manifest.
       }
-      probes[b].end_vtime = sim::vnow();
+      probe.end_vtime = sim::vnow();
+      if (raw) {
+        try {
+          Manifest decoded = serde::from_bytes<Manifest>(*raw);
+          if (well_formed(decoded, backends_.size())) {
+            probe.value = std::move(decoded);
+          }
+        } catch (const SerializationError&) {
+          // Undecodable: as damaged as a malformed manifest.
+        }
+        probe.invalid = !probe.value;
+      }
       std::lock_guard<std::mutex> lock(mu);
       if (--pending == 0) done.notify_all();
     });
@@ -203,6 +220,7 @@ std::optional<Bytes> SwarmConnector::manifest_bytes(
   }
   std::size_t winner = backends_.size();
   for (std::size_t b = 0; b < backends_.size(); ++b) {
+    if (probes[b].invalid) count("swarm.manifest.invalid");
     if (!probes[b].value) continue;
     if (winner == backends_.size() ||
         probes[b].end_vtime < probes[winner].end_vtime) {
@@ -210,29 +228,22 @@ std::optional<Bytes> SwarmConnector::manifest_bytes(
     }
   }
   if (winner == backends_.size()) {
-    // Absent everywhere: knowing that costs waiting for every response.
+    // No valid copy anywhere: knowing that costs waiting for every response.
     double worst = 0.0;
     for (const Probe& probe : probes) worst = std::max(worst, probe.end_vtime);
     sim::vmerge(worst);
     return std::nullopt;
   }
   sim::vmerge(probes[winner].end_vtime);
-  return probes[winner].value;
-}
-
-std::optional<Manifest> SwarmConnector::manifest(const core::Key& key) const {
-  const std::optional<Bytes> raw = manifest_bytes(key);
-  if (!raw) return std::nullopt;
-  return serde::from_bytes<Manifest>(*raw);
+  return std::move(probes[winner].value);
 }
 
 std::optional<Bytes> SwarmConnector::get_swarm(const core::Key& key) {
   obs::SpanScope span("swarm.get", key.object_id);
   sim::VtimeScope elapsed;
-  const std::optional<Bytes> raw = manifest_bytes(key);
-  if (!raw) return std::nullopt;
-  const Manifest decoded = serde::from_bytes<Manifest>(*raw);
-  ChunkScheduler scheduler(backends_, decoded, options_, *executor_,
+  const std::optional<Manifest> decoded = manifest(key);
+  if (!decoded) return std::nullopt;
+  ChunkScheduler scheduler(backends_, *decoded, options_, *executor_,
                            key.object_id);
   std::optional<Bytes> payload = scheduler.run();
   if (payload) {

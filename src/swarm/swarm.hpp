@@ -53,15 +53,16 @@ class SwarmConnector : public core::Connector {
   void evict(const core::Key& key) override;
   void close() override;
 
-  /// The decoded manifest behind a swarm key (first backend that still has
-  /// it), or nullopt. Tools and tests use this to reach into placement.
+  /// The decoded manifest behind a swarm key, or nullopt. Races every
+  /// backend and keeps the earliest replica that decodes and passes
+  /// well_formed(); a damaged replica counts as unreachable. Tools and
+  /// tests use this to reach into placement.
   std::optional<Manifest> manifest(const core::Key& key) const;
 
   const std::vector<Backend>& backends() const { return backends_; }
   const SwarmOptions& options() const { return options_; }
 
  private:
-  std::optional<Bytes> manifest_bytes(const core::Key& key) const;
   core::Key put_chunked(BytesView data);
   std::optional<Bytes> get_swarm(const core::Key& key);
   const Backend& backend_for(const core::Key& key) const;

@@ -287,6 +287,34 @@ TEST_F(CoreTest, StoreEvictRemoves) {
   EXPECT_EQ(raw->get<int>(key), std::nullopt);
 }
 
+TEST_F(CoreTest, CacheOffStoreReadsReturnPutBytes) {
+  proc::ProcessScope scope(*producer_);
+  auto connector = std::make_shared<LocalConnector>();
+  auto store = std::make_shared<Store>("cache-off", connector,
+                                       Store::Options{.cache_size = 0});
+  const Bytes payload = pattern_bytes(256 * 1024, 3);
+  const Bytes small = pattern_bytes(1000, 4);
+  const Key key = store->put(payload);
+  const Key other = store->put(small);
+
+  EXPECT_EQ(store->get<Bytes>(key), payload);
+  EXPECT_EQ(store->get_async<Bytes>(key).get(), payload);
+  // The repeated key is a batch-internal duplicate: one fetch, two answers.
+  const std::vector<std::optional<Bytes>> batch =
+      store->resolve_batch<Bytes>({key, other, key});
+  ASSERT_EQ(batch.size(), 3u);
+  EXPECT_EQ(batch[0], payload);
+  EXPECT_EQ(batch[1], small);
+  EXPECT_EQ(batch[2], payload);
+  EXPECT_EQ(store->cache().size(), 0u);
+
+  // Nothing was cached, so an eviction behind the store's back shows at once.
+  connector->evict(key);
+  EXPECT_EQ(store->get<Bytes>(key), std::nullopt);
+  EXPECT_EQ(store->get<Bytes>(other), small);
+  EXPECT_EQ(store->cache().size(), 0u);
+}
+
 TEST_F(CoreTest, StoreCachesDeserializedObjects) {
   auto store = make_store("s4");
   proc::ProcessScope scope(*producer_);

@@ -3,7 +3,9 @@
 // boundary: the 55/56-byte padding edge (where the length field no longer
 // fits the final block) and the 64-byte block edge. The swarm subsystem
 // trusts these digests for chunk identity and verification, so the
-// one-shot and chunked paths must agree bit-for-bit.
+// one-shot and chunked paths must agree bit-for-bit. The Sha256Kernels
+// cases pin the SHA-NI and portable compression kernels against each
+// other on identical input.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
+#include "common/sha256_kernels.hpp"
 
 namespace ps {
 namespace {
@@ -119,6 +122,76 @@ TEST(Sha256, ChunkedThreeWaySplit) {
   hasher.update(BytesView(data).substr(100, 300));
   hasher.update(BytesView(data).substr(400));
   EXPECT_EQ(hex(hasher.finish()), Sha256::hex_digest(data));
+}
+
+TEST(Sha256Kernels, SelectedKernelFollowsCpu) {
+  EXPECT_EQ(Sha256Kernels::selected(), Sha256Kernels::shani_supported()
+                                           ? &Sha256Kernels::shani
+                                           : &Sha256Kernels::portable);
+}
+
+/// Digest of `parts` absorbed one update() each by a hasher pinned to
+/// `kernel`.
+std::string kernel_digest(Sha256Kernels::BlockFn kernel,
+                          const std::vector<BytesView>& parts) {
+  Sha256 hasher = Sha256Kernels::hasher(kernel);
+  for (const BytesView part : parts) hasher.update(part);
+  return hex(hasher.finish());
+}
+
+class Sha256KernelDiff : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!Sha256Kernels::shani_supported()) {
+      GTEST_SKIP() << "CPU has no SHA extensions";
+    }
+  }
+
+  /// Both kernels digest `parts` and agree; returns the shared digest.
+  static std::string both(const std::vector<BytesView>& parts) {
+    const std::string shani = kernel_digest(&Sha256Kernels::shani, parts);
+    EXPECT_EQ(shani, kernel_digest(&Sha256Kernels::portable, parts));
+    return shani;
+  }
+};
+
+TEST_F(Sha256KernelDiff, EveryLengthUpTo300) {
+  const Bytes data = pattern_bytes(300, 77);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    both({BytesView(data).substr(0, len)});
+  }
+}
+
+TEST_F(Sha256KernelDiff, TwoPartSplits) {
+  const Bytes data = pattern_bytes(300, 91);
+  const std::string whole = both({data});
+  for (const std::size_t split :
+       std::vector<std::size_t>{0, 1, 55, 56, 63, 64, 65, 127, 128}) {
+    SCOPED_TRACE("split=" + std::to_string(split));
+    EXPECT_EQ(both({BytesView(data).substr(0, split),
+                    BytesView(data).substr(split)}),
+              whole);
+  }
+}
+
+TEST_F(Sha256KernelDiff, FourMegabyteChunk) {
+  // One swarm chunk's worth: a single update() hands the kernel 65536
+  // blocks in one call.
+  const Bytes chunk = pattern_bytes(4u << 20, 5);
+  EXPECT_EQ(both({chunk}), Sha256::hex_digest(chunk));
+}
+
+TEST_F(Sha256KernelDiff, IncrementalMillionA) {
+  // Uneven 997-byte updates: most straddle a block boundary, so the
+  // buffered partial block and the whole-block path alternate.
+  const Bytes data(1'000'000, 'a');
+  std::vector<BytesView> parts;
+  for (std::size_t at = 0; at < data.size(); at += 997) {
+    parts.push_back(BytesView(data).substr(at, 997));
+  }
+  EXPECT_EQ(both(parts),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 }  // namespace

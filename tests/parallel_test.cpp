@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -67,6 +68,57 @@ TEST(Parallel, ExceptionsPropagate) {
 }
 
 TEST(Parallel, WorkersReported) { EXPECT_GE(parallel_workers(), 1u); }
+
+TEST(Parallel, NestedLoopsComplete) {
+  // Every block of the outer loop starts an inner loop while the shared
+  // helpers are busy with outer blocks; callers run their own blocks, so
+  // nothing waits on a helper that never comes.
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_for(0, kOuter, [&](std::size_t o) {
+    parallel_for(0, kInner,
+                 [&](std::size_t i) { hits[o * kInner + i].fetch_add(1); });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(Parallel, ConcurrentCallersShareTheHelpers) {
+  // Loops started from several threads at once interleave on one set of
+  // helpers; each still covers its own range exactly once, and an error in
+  // one loop reaches only its own caller.
+  constexpr std::size_t kCallers = 6;
+  constexpr std::size_t kN = 2'000;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& caller_hits : hits) {
+    caller_hits = std::vector<std::atomic<int>>(kN);
+  }
+  std::atomic<int> errors{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        parallel_for(0, kN, [&](std::size_t i) { hits[c][i].fetch_add(1); });
+      }
+      try {
+        parallel_for(0, kN, [&](std::size_t i) {
+          if (c == 0 && i == kN / 2) throw std::runtime_error("caller 0");
+        });
+      } catch (const std::runtime_error&) {
+        errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(errors.load(), 1);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[c][i].load(), 20) << "caller " << c << " index " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ps

@@ -107,6 +107,43 @@ TEST(SwarmManifest, SerdeRoundTrips) {
   EXPECT_EQ(serde::from_bytes<Manifest>(serde::to_bytes(m)), m);
 }
 
+TEST(SwarmManifest, WellFormedRejectsDamagedLayouts) {
+  const Manifest good =
+      build_manifest(pattern_bytes(300'000, 9), 64 * 1024, 4, 2, 0.0);
+  ASSERT_EQ(good.chunks.size(), 5u);
+  EXPECT_TRUE(well_formed(good, 4));
+  EXPECT_TRUE(well_formed(Manifest{}, 4));  // an empty payload tiles [0, 0)
+  const auto rejected = [&](const auto& damage) {
+    Manifest m = good;
+    damage(m);
+    return !well_formed(m, 4);
+  };
+  // Chunks must tile [0, total_size) in order.
+  EXPECT_TRUE(rejected([](Manifest& m) { m.total_size += 1; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.total_size -= 1; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[1].offset += 1; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[1].offset -= 1; }));
+  EXPECT_TRUE(
+      rejected([](Manifest& m) { std::swap(m.chunks[0], m.chunks[1]); }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks.pop_back(); }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks.back().size = ~0ull; }));
+  // Sizes must be in (0, chunk_size].
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunk_size -= 1; }));
+  EXPECT_TRUE(rejected([](Manifest& m) {
+    m.chunks.push_back(m.chunks.back());
+    m.chunks.back().offset = m.total_size;
+    m.chunks.back().size = 0;
+  }));
+  // Holders must index a backend.
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[2].holders[0] = 4; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[2].holders.clear(); }));
+  // Hashes must be 64 lowercase hex digits.
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[3].hash[5] = 'A'; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[3].hash[0] = 'g'; }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[3].hash.pop_back(); }));
+  EXPECT_TRUE(rejected([](Manifest& m) { m.chunks[3].hash += "0"; }));
+}
+
 TEST(SwarmConnector, ChunkedPutGetRoundTrips) {
   SwarmEnv env;
   const Bytes payload = pattern_bytes(1'000'000, 11);
@@ -188,6 +225,38 @@ TEST(SwarmConnector, AllReplicasLostIsUnrecoverable) {
   }
   EXPECT_EQ(env.connector->get(key), std::nullopt);
   EXPECT_GE(counter("swarm.chunks.unrecoverable"), 1u);
+}
+
+TEST(SwarmConnector, CorruptManifestReplicaIsSkipped) {
+  // Backend 0 wins the manifest race's tie-break in this world. Corrupting
+  // its copy flips the low bit of total_size, so 1,000,001 reads back as
+  // 1,000,000 and 1,000,000 as 1,000,001. Both still decode; neither tiles
+  // its chunks, so the resolve must take an intact replica instead.
+  for (const std::size_t size :
+       {std::size_t{1'000'001}, std::size_t{1'000'000}}) {
+    SCOPED_TRACE("size=" + std::to_string(size));
+    SwarmEnv env;
+    const Bytes payload = pattern_bytes(size, 47);
+    const core::Key key = env.connector->put(payload);
+    env.faults[0]->corrupt(key.object_id);
+    const std::uint64_t invalid_before = counter("swarm.manifest.invalid");
+    const std::optional<Bytes> value = env.connector->get(key);
+    ASSERT_TRUE(value.has_value());
+    EXPECT_EQ(value->size(), size);
+    EXPECT_TRUE(*value == payload);
+    EXPECT_EQ(counter("swarm.manifest.invalid") - invalid_before, 1u);
+  }
+}
+
+TEST(SwarmConnector, NoWellFormedManifestReplicaIsUnrecoverable) {
+  SwarmEnv env;
+  const core::Key key = env.connector->put(pattern_bytes(1'000'001, 53));
+  for (const auto& fault : env.faults) fault->corrupt(key.object_id);
+  EXPECT_FALSE(env.connector->manifest(key).has_value());
+  EXPECT_FALSE(env.connector->get(key).has_value());
+  // Eviction still reaches every manifest copy.
+  env.connector->evict(key);
+  EXPECT_FALSE(env.connector->exists(key));
 }
 
 TEST(SwarmConnector, SlowSourceIsTimedOutAndRoutedAround) {

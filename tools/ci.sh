@@ -3,6 +3,15 @@
 #   1. tier-1: configure + build + the complete ctest suite;
 #   2. tier-2: TSan build (-DPS_SANITIZE=thread) running the
 #      concurrency-sensitive tests (`ctest -L tier2`);
+#   2a. asan-ubsan: ASan+UBSan build (-DPS_SANITIZE=address,undefined, UB
+#      fatal, libstdc++ assertions on) running hash_test, parallel_test,
+#      swarm_test and core_test — the SHA-NI intrinsics, the shared
+#      parallel-loop helpers behind manifest hashing, the checks on
+#      manifests read back from backends, and the Store read paths;
+#   2b. perfbench-selftest: the repo benchmark's self-test
+#      (`perfbench/run.py --selftest`) — every op's bytes are checked on
+#      all three workloads, a wrong expected fingerprint must be counted,
+#      and the same seed must give bit-identical op vtime;
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics --prom` a Prometheus
 #      snapshot, and `psctl stream stats` a per-topic table with the
@@ -63,6 +72,19 @@ if [[ "${SKIP_TSAN}" == "0" ]]; then
 else
   echo "==> tier-2: skipped (--skip-tsan)"
 fi
+
+echo "==> asan-ubsan: AddressSanitizer + UBSan on hash, parallel, swarm, core"
+ASAN_TESTS=(hash_test parallel_test swarm_test core_test)
+cmake -B build-asan -S . -DPS_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+  >/dev/null
+cmake --build build-asan -j "${JOBS}" --target "${ASAN_TESTS[@]}"
+for test_bin in "${ASAN_TESTS[@]}"; do
+  ./build-asan/tests/"${test_bin}" --gtest_brief=1
+done
+
+echo "==> perfbench-selftest: repo benchmark output checks + determinism"
+python3 perfbench/run.py --selftest
 
 echo "==> smoke: psctl trace export + prometheus snapshot"
 TRACE_OUT="$(mktemp -t ps-ci-trace-XXXXXX.json)"

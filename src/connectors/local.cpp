@@ -27,35 +27,55 @@ core::ConnectorTraits LocalConnector::traits() const {
                                .persistent = false};
 }
 
+std::shared_ptr<const Bytes> LocalConnector::find(const core::Key& key) const {
+  std::lock_guard lock(table_->mu);
+  const auto it = table_->objects.find(key.object_id);
+  return it == table_->objects.end() ? nullptr : it->second;
+}
+
+void LocalConnector::store(std::string object_id, BytesView data) {
+  auto blob = std::make_shared<const Bytes>(data);
+  {
+    std::lock_guard lock(table_->mu);
+    table_->objects.try_emplace(std::move(object_id)).first->second.swap(blob);
+  }
+  // `blob` now holds the replaced payload, if any: freed after unlocking.
+}
+
 core::Key LocalConnector::put(BytesView data) {
   charge_mem(data.size());
   core::Key key{.object_id = Uuid::random().str(), .meta = {}};
-  std::lock_guard lock(table_->mu);
-  table_->objects.emplace(key.object_id, Bytes(data));
+  store(key.object_id, data);
   return key;
 }
 
 std::optional<Bytes> LocalConnector::get(const core::Key& key) {
-  std::lock_guard lock(table_->mu);
-  const auto it = table_->objects.find(key.object_id);
-  if (it == table_->objects.end()) return std::nullopt;
-  charge_mem(it->second.size());
-  return it->second;
+  const std::shared_ptr<const Bytes> blob = find(key);
+  if (!blob) return std::nullopt;
+  charge_mem(blob->size());
+  return *blob;
 }
 
 std::vector<std::optional<Bytes>> LocalConnector::get_batch(
     const std::vector<core::Key>& keys) {
+  std::vector<std::shared_ptr<const Bytes>> blobs;
+  blobs.reserve(keys.size());
+  {
+    std::lock_guard lock(table_->mu);
+    for (const core::Key& key : keys) {
+      const auto it = table_->objects.find(key.object_id);
+      blobs.push_back(it == table_->objects.end() ? nullptr : it->second);
+    }
+  }
   std::vector<std::optional<Bytes>> out;
   out.reserve(keys.size());
-  std::lock_guard lock(table_->mu);
-  for (const core::Key& key : keys) {
-    const auto it = table_->objects.find(key.object_id);
-    if (it == table_->objects.end()) {
+  for (const std::shared_ptr<const Bytes>& blob : blobs) {
+    if (!blob) {
       out.emplace_back(std::nullopt);
       continue;
     }
-    charge_mem(it->second.size());
-    out.emplace_back(it->second);
+    charge_mem(blob->size());
+    out.emplace_back(*blob);
   }
   return out;
 }
@@ -95,14 +115,14 @@ std::vector<bool> LocalConnector::exists_batch(
 }
 
 void LocalConnector::evict(const core::Key& key) {
+  decltype(table_->objects)::node_type dropped;  // freed after unlocking
   std::lock_guard lock(table_->mu);
-  table_->objects.erase(key.object_id);
+  dropped = table_->objects.extract(key.object_id);
 }
 
 bool LocalConnector::put_at(const core::Key& key, BytesView data) {
   charge_mem(data.size());
-  std::lock_guard lock(table_->mu);
-  table_->objects.insert_or_assign(key.object_id, Bytes(data));
+  store(key.object_id, data);
   return true;
 }
 

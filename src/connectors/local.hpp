@@ -3,7 +3,9 @@
 // Objects live in a shared in-memory table registered in the world's service
 // directory, so a LocalConnector reconstructed in another simulated process
 // (from a proxy's factory descriptor) sees the same objects — the minimal
-// mediated channel satisfying the Connector protocol.
+// mediated channel satisfying the Connector protocol. Every thread shares
+// the table's mutex, so payloads are copied in before locking, copied out
+// after unlocking, and freed after unlocking.
 #pragma once
 
 #include <memory>
@@ -53,8 +55,15 @@ class LocalConnector : public core::Connector {
  private:
   struct Table {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Bytes> objects;
+    /// Immutable payloads: a reader takes a reference under the lock and
+    /// copies the bytes outside it.
+    std::unordered_map<std::string, std::shared_ptr<const Bytes>> objects;
   };
+
+  /// The payload stored under `key`, or nullptr.
+  std::shared_ptr<const Bytes> find(const core::Key& key) const;
+  /// Stores `data` under `object_id`, replacing any previous payload.
+  void store(std::string object_id, BytesView data);
 
   std::string address_;
   std::shared_ptr<Table> table_;

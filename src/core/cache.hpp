@@ -3,7 +3,11 @@
 // The Store caches *after* deserialization "to avoid duplicate
 // deserializations" (paper section 3.5). Values are type-erased shared
 // pointers tagged with their type so a mistyped lookup misses rather than
-// aliasing.
+// aliasing. Every thread resolving through a store shares the cache's one
+// mutex, so its critical sections neither allocate nor free: an insert
+// builds its entry before locking, and replaced, evicted and erased entries
+// (possibly the last reference to a large object) are destroyed after
+// unlocking.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <typeindex>
 #include <unordered_map>
 
@@ -28,12 +33,12 @@ class ObjectCache {
     insert(key, std::type_index(typeid(T)), std::move(value));
   }
 
-  /// Returns the cached object if present *and* of type T; refreshes LRU.
+  /// Returns the cached object if present *and* of type T, refreshing its
+  /// LRU position. An entry of another type is a miss and keeps its place.
   template <typename T>
   std::shared_ptr<const T> get(const std::string& key) {
-    auto [type, value] = lookup(key);
-    if (!value || type != std::type_index(typeid(T))) return nullptr;
-    return std::static_pointer_cast<const T>(value);
+    return std::static_pointer_cast<const T>(
+        lookup(key, std::type_index(typeid(T))));
   }
 
   bool contains(const std::string& key) const;
@@ -55,15 +60,20 @@ class ObjectCache {
     std::shared_ptr<const void> value;
   };
 
+  using Lru = std::list<Entry>;
+  /// Keys view the owning entry's `key`, so re-pointing an index node at a
+  /// new entry never copies a string.
+  using Index = std::unordered_map<std::string_view, Lru::iterator>;
+
   void insert(const std::string& key, std::type_index type,
               std::shared_ptr<const void> value);
-  std::pair<std::type_index, std::shared_ptr<const void>> lookup(
-      const std::string& key);
+  std::shared_ptr<const void> lookup(const std::string& key,
+                                     std::type_index type);
 
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Lru lru_;  // front = most recent
+  Index index_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t evictions_ = 0;

@@ -54,29 +54,36 @@ struct FactoryDescriptor {
   }
 };
 
-/// A lazy producer of T. Factories are copyable; store-backed factories
-/// additionally carry their descriptor and therefore serialize.
+/// A lazy producer of T. Factories are copyable. An ad-hoc factory wraps
+/// any callable; a store-backed factory holds its serializable descriptor
+/// once and resolves it through a plain function pointer, so building one
+/// costs the descriptor and nothing else.
 template <typename T>
 class Factory {
  public:
+  /// Turns a descriptor into its target (see make_descriptor_factory).
+  using Resolver = T (*)(const FactoryDescriptor&);
+
   Factory() = default;
 
   /// Ad-hoc factory from any callable (not serializable).
   explicit Factory(std::function<T()> fn) : fn_(std::move(fn)) {}
 
-  /// Store-backed factory: callable plus its serializable descriptor.
-  Factory(std::function<T()> fn, FactoryDescriptor descriptor)
-      : fn_(std::move(fn)), descriptor_(std::move(descriptor)) {}
+  /// Store-backed factory: its serializable descriptor and the function
+  /// that resolves it.
+  Factory(FactoryDescriptor descriptor, Resolver resolve)
+      : descriptor_(std::move(descriptor)), resolve_(resolve) {}
 
   /// Resolves the target object.
   T operator()() const {
+    if (resolve_ != nullptr) return resolve_(*descriptor_);
     if (!fn_) {
       throw ProxyResolutionError("Factory: empty factory invoked");
     }
     return fn_();
   }
 
-  bool valid() const { return static_cast<bool>(fn_); }
+  bool valid() const { return resolve_ != nullptr || static_cast<bool>(fn_); }
 
   /// Present only for store-backed factories.
   const std::optional<FactoryDescriptor>& descriptor() const {
@@ -86,6 +93,7 @@ class Factory {
  private:
   std::function<T()> fn_;
   std::optional<FactoryDescriptor> descriptor_;
+  Resolver resolve_ = nullptr;
 };
 
 }  // namespace ps::core

@@ -8,66 +8,28 @@
 
 namespace ps::core {
 
-namespace {
-
-/// Resolved metric handles for one recording. When the calling thread's
-/// ambient registry is the global one (scoping off — the common case) the
-/// construction-time handles are used untouched; under per-process scoping
-/// the same names are resolved in the ambient registry so the op lands in
-/// the simulated site doing the work.
-struct Handles {
-  obs::Counter* count;
-  obs::Histogram* vtime;
-  obs::Histogram* wall;
-};
-
-Handles resolve(obs::Counter& count, obs::Histogram& vtime,
-                obs::Histogram& wall, const std::string& base) {
-  obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-  if (&ambient == &obs::MetricsRegistry::global()) {
-    return Handles{&count, &vtime, &wall};
-  }
-  return Handles{&ambient.counter(base), &ambient.histogram(base + ".vtime"),
-                 &ambient.histogram(base + ".wall")};
-}
-
-obs::Histogram& resolve_histogram(obs::Histogram& cached,
-                                  const std::string& name) {
-  obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-  if (&ambient == &obs::MetricsRegistry::global()) return cached;
-  return ambient.histogram(name);
-}
-
-}  // namespace
-
-InstrumentedConnector::Op InstrumentedConnector::make_op(
-    const std::string& type, const char* op) {
-  auto& registry = obs::MetricsRegistry::global();
-  const std::string base = "connector." + type + "." + op;
-  return Op{registry.counter(base), registry.histogram(base + ".vtime"),
-            registry.histogram(base + ".wall"), base};
+InstrumentedConnector::Op::Op(const std::string& type, const char* op,
+                              bool batch)
+    : count("connector." + type + "." + op),
+      vtime(count.name() + ".vtime"),
+      wall(count.name() + ".wall") {
+  if (batch) items.emplace(count.name() + ".items");
 }
 
 InstrumentedConnector::InstrumentedConnector(std::shared_ptr<Connector> inner)
     : inner_(std::move(inner)),
-      put_(make_op(inner_->type(), "put")),
-      get_(make_op(inner_->type(), "get")),
-      exists_(make_op(inner_->type(), "exists")),
-      evict_(make_op(inner_->type(), "evict")),
-      put_batch_(make_op(inner_->type(), "put_batch")),
-      get_batch_(make_op(inner_->type(), "get_batch")),
-      get_async_(make_op(inner_->type(), "get_async")),
-      put_async_(make_op(inner_->type(), "put_async")),
-      exists_async_(make_op(inner_->type(), "exists_async")),
-      evict_async_(make_op(inner_->type(), "evict_async")),
-      evict_batch_(make_op(inner_->type(), "evict_batch")),
-      get_batch_async_(make_op(inner_->type(), "get_batch_async")),
-      put_batch_items_(obs::MetricsRegistry::global().histogram(
-          "connector." + inner_->type() + ".put_batch.items")),
-      get_batch_items_(obs::MetricsRegistry::global().histogram(
-          "connector." + inner_->type() + ".get_batch.items")),
-      evict_batch_items_(obs::MetricsRegistry::global().histogram(
-          "connector." + inner_->type() + ".evict_batch.items")) {}
+      put_(inner_->type(), "put"),
+      get_(inner_->type(), "get"),
+      exists_(inner_->type(), "exists"),
+      evict_(inner_->type(), "evict"),
+      put_batch_(inner_->type(), "put_batch", /*batch=*/true),
+      get_batch_(inner_->type(), "get_batch", /*batch=*/true),
+      get_async_(inner_->type(), "get_async"),
+      put_async_(inner_->type(), "put_async"),
+      exists_async_(inner_->type(), "exists_async"),
+      evict_async_(inner_->type(), "evict_async"),
+      evict_batch_(inner_->type(), "evict_batch", /*batch=*/true),
+      get_batch_async_(inner_->type(), "get_batch_async") {}
 
 std::shared_ptr<Connector> InstrumentedConnector::wrap(
     std::shared_ptr<Connector> inner) {
@@ -75,72 +37,57 @@ std::shared_ptr<Connector> InstrumentedConnector::wrap(
   return std::make_shared<InstrumentedConnector>(std::move(inner));
 }
 
+template <typename F>
+auto InstrumentedConnector::timed(const Op& op, F&& call, std::size_t items) {
+  obs::SpanScope span(op.count.name(), {}, "wire-transfer");
+  if (!obs::enabled()) return call();
+  op.count.get().inc();
+  if (op.items) op.items->get().observe(static_cast<double>(items));
+  obs::Timer timer(&op.vtime.get(), &op.wall.get());
+  return call();
+}
+
 Key InstrumentedConnector::put(BytesView data) {
-  obs::SpanScope span(put_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->put(data);
-  const Handles h = resolve(put_.count, put_.vtime, put_.wall,
-                            put_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->put(data);
+  return timed(put_, [&] { return inner_->put(data); });
 }
 
 Key InstrumentedConnector::put_hinted(BytesView data, const PutHints& hints) {
-  obs::SpanScope span(put_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->put_hinted(data, hints);
-  const Handles h = resolve(put_.count, put_.vtime, put_.wall,
-                            put_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->put_hinted(data, hints);
+  return timed(put_, [&] { return inner_->put_hinted(data, hints); });
 }
 
 bool InstrumentedConnector::put_at(const Key& key, BytesView data) {
-  obs::SpanScope span(put_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->put_at(key, data);
-  const Handles h = resolve(put_.count, put_.vtime, put_.wall,
-                            put_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->put_at(key, data);
+  return timed(put_, [&] { return inner_->put_at(key, data); });
 }
 
 Key InstrumentedConnector::reserve_key() { return inner_->reserve_key(); }
 
 std::vector<Key> InstrumentedConnector::put_batch(
     const std::vector<Bytes>& items) {
-  obs::SpanScope span(put_batch_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->put_batch(items);
-  const Handles h = resolve(put_batch_.count, put_batch_.vtime, put_batch_.wall,
-                            put_batch_.span_name);
-  h.count->inc();
-  resolve_histogram(put_batch_items_, put_batch_.span_name + ".items")
-      .observe(static_cast<double>(items.size()));
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->put_batch(items);
+  return timed(
+      put_batch_, [&] { return inner_->put_batch(items); }, items.size());
 }
 
 std::optional<Bytes> InstrumentedConnector::get(const Key& key) {
-  obs::SpanScope span(get_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->get(key);
-  const Handles h = resolve(get_.count, get_.vtime, get_.wall,
-                            get_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->get(key);
+  return timed(get_, [&] { return inner_->get(key); });
 }
 
 std::vector<std::optional<Bytes>> InstrumentedConnector::get_batch(
     const std::vector<Key>& keys) {
-  obs::SpanScope span(get_batch_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->get_batch(keys);
-  const Handles h = resolve(get_batch_.count, get_batch_.vtime, get_batch_.wall,
-                            get_batch_.span_name);
-  h.count->inc();
-  resolve_histogram(get_batch_items_, get_batch_.span_name + ".items")
-      .observe(static_cast<double>(keys.size()));
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->get_batch(keys);
+  return timed(
+      get_batch_, [&] { return inner_->get_batch(keys); }, keys.size());
+}
+
+bool InstrumentedConnector::exists(const Key& key) {
+  return timed(exists_, [&] { return inner_->exists(key); });
+}
+
+void InstrumentedConnector::evict(const Key& key) {
+  timed(evict_, [&] { inner_->evict(key); });
+}
+
+void InstrumentedConnector::evict_batch(const std::vector<Key>& keys) {
+  timed(
+      evict_batch_, [&] { inner_->evict_batch(keys); }, keys.size());
 }
 
 template <typename T>
@@ -148,12 +95,11 @@ Future<T> InstrumentedConnector::record_async(const Op& op, Future<T> future) {
   if (!obs::enabled()) return future;
   // Resolve at submit time: the completion may run on another thread (the
   // async executor), whose ambient registry is not the submitter's site.
-  const Handles h = resolve(op.count, op.vtime, op.wall, op.span_name);
-  h.count->inc();
+  op.count.get().inc();
+  obs::Histogram* vtime = &op.vtime.get();
+  obs::Histogram* wall = &op.wall.get();
   const double submit_vtime = sim::vnow();
   const auto submit_wall = std::chrono::steady_clock::now();
-  obs::Histogram* vtime = h.vtime;
-  obs::Histogram* wall = h.wall;
   future.on_ready([future, submit_vtime, submit_wall, vtime, wall] {
     vtime->observe(future.done_vtime() - submit_vtime);
     wall->observe(std::chrono::duration<double>(
@@ -177,38 +123,6 @@ Future<bool> InstrumentedConnector::exists_async(const Key& key) {
 
 Future<Unit> InstrumentedConnector::evict_async(const Key& key) {
   return record_async(evict_async_, inner_->evict_async(key));
-}
-
-bool InstrumentedConnector::exists(const Key& key) {
-  obs::SpanScope span(exists_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->exists(key);
-  const Handles h = resolve(exists_.count, exists_.vtime, exists_.wall,
-                            exists_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  return inner_->exists(key);
-}
-
-void InstrumentedConnector::evict(const Key& key) {
-  obs::SpanScope span(evict_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->evict(key);
-  const Handles h = resolve(evict_.count, evict_.vtime, evict_.wall,
-                            evict_.span_name);
-  h.count->inc();
-  obs::Timer timer(h.vtime, h.wall);
-  inner_->evict(key);
-}
-
-void InstrumentedConnector::evict_batch(const std::vector<Key>& keys) {
-  obs::SpanScope span(evict_batch_.span_name, {}, "wire-transfer");
-  if (!obs::enabled()) return inner_->evict_batch(keys);
-  const Handles h = resolve(evict_batch_.count, evict_batch_.vtime,
-                            evict_batch_.wall, evict_batch_.span_name);
-  h.count->inc();
-  resolve_histogram(evict_batch_items_, evict_batch_.span_name + ".items")
-      .observe(static_cast<double>(keys.size()));
-  obs::Timer timer(h.vtime, h.wall);
-  inner_->evict_batch(keys);
 }
 
 Future<std::vector<std::optional<Bytes>>>

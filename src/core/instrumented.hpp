@@ -7,10 +7,13 @@
 // traits, hints, addressed writes — passes through untouched, so a wrapped
 // connector is substitutable anywhere the raw one is: proxies minted against
 // it reconstruct the *raw* connector type from config() in other processes.
-// Metric references are resolved once at construction; per-op overhead when
-// the global obs switch is off is a single relaxed load.
+// Metric handles are bound once at construction (obs::MetricHandle), so an
+// op records into the ambient registry without a by-name lookup unless
+// per-process scoping is on; per-op overhead when the global obs switch is
+// off is a single relaxed load.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,16 +64,22 @@ class InstrumentedConnector : public Connector {
   const Connector& inner() const { return *inner_; }
 
  private:
-  /// Metric handles for one operation, resolved once.
+  /// Metric handles for one operation.
   struct Op {
-    obs::Counter& count;
-    obs::Histogram& vtime;
-    obs::Histogram& wall;
-    /// "connector.<type>.<op>", reused as the trace span name.
-    std::string span_name;
+    Op(const std::string& type, const char* op, bool batch = false);
+
+    /// "connector.<type>.<op>", whose name is also the trace span name.
+    obs::CounterHandle count;
+    obs::HistogramHandle vtime;
+    obs::HistogramHandle wall;
+    /// Batch ops only: items per call ("connector.<type>.<op>.items"), so
+    /// many small batches vs few large ones read directly off count/mean.
+    std::optional<obs::HistogramHandle> items;
   };
 
-  static Op make_op(const std::string& type, const char* op);
+  /// Runs a synchronous op under its span, count and latency timer.
+  template <typename F>
+  auto timed(const Op& op, F&& call, std::size_t items = 0);
 
   /// Counts the op and observes end-to-end latency when `future` completes.
   template <typename T>
@@ -89,14 +98,6 @@ class InstrumentedConnector : public Connector {
   Op evict_async_;
   Op evict_batch_;
   Op get_batch_async_;
-  /// Items per put_batch call ("connector.<type>.put_batch.items") — makes
-  /// batching visible: many small batches vs few large ones read directly
-  /// off count/mean.
-  obs::Histogram& put_batch_items_;
-  /// Items per get_batch call ("connector.<type>.get_batch.items").
-  obs::Histogram& get_batch_items_;
-  /// Items per evict_batch call ("connector.<type>.evict_batch.items").
-  obs::Histogram& evict_batch_items_;
 };
 
 }  // namespace ps::core

@@ -12,7 +12,9 @@
 // shared core::Future and merge the resolver's virtual completion time, so
 // every observer's clock reflects the communication cost. Async resolution
 // runs on the shared bounded AsyncExecutor — no detached or per-proxy
-// threads anywhere in the resolve path.
+// threads anywhere in the resolve path. Once the target is published, a
+// deref is one acquire load plus a merge of the publication vtime: no
+// promise, no mutex, no allocation.
 //
 // Copying a proxy shares the resolution state (like Python references);
 // serializing a proxy writes only its factory descriptor, never the target,
@@ -22,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,8 +67,7 @@ class Proxy {
 
   /// True once the target has been materialized locally.
   bool resolved() const {
-    std::lock_guard lock(state_->mu);
-    return state_->target.has_value();
+    return state_->published.load(std::memory_order_acquire);
   }
 
   /// Begins resolving on the shared bounded AsyncExecutor; returns
@@ -73,10 +75,11 @@ class Proxy {
   /// flight). The eventual wait (resolve()/await_async()) merges the
   /// resolver's virtual time so communication overlaps computation.
   void resolve_async() const {
+    if (resolved()) return;
     Promise<Unit> promise;
     {
       std::lock_guard lock(state_->mu);
-      if (state_->target.has_value() || state_->pending.valid()) return;
+      if (resolved() || state_->pending.valid()) return;
       state_->pending = promise.future();
     }
     auto state = state_;
@@ -110,11 +113,16 @@ class Proxy {
         T value = state.factory();
         {
           std::lock_guard lock(state.mu);
-          if (!state.target.has_value()) state.target.emplace(std::move(value));
-          // Stamped before the promise completes so the fast path below
-          // (target published, pending already cleared) can still charge
-          // late observers the transfer's virtual cost.
-          state.resolved_vtime = std::max(state.resolved_vtime, sim::vnow());
+          if (!state.published.load(std::memory_order_relaxed)) {
+            state.target.emplace(std::move(value));
+            // Stamped before the promise completes (and equal to its
+            // completion vtime), so observers taking the published fast
+            // path are charged the transfer's virtual cost too.
+            state.resolved_vtime = std::max(state.resolved_vtime, sim::vnow());
+            // Release: pairs with the acquire in ensure_resolved(), making
+            // `target` and `resolved_vtime` visible to lock-free readers.
+            state.published.store(true, std::memory_order_release);
+          }
         }
         promise.set_value(Unit{});
       } catch (...) {
@@ -123,30 +131,42 @@ class Proxy {
     }
 
     Factory<T> factory;
-    mutable std::mutex mu;
+    /// Set once, after `target` and `resolved_vtime` are written; neither
+    /// changes afterwards, so readers that observe it need no lock.
+    std::atomic<bool> published{false};
     std::optional<T> target;
     /// Virtual time at which the target was published; merged by every
     /// observer so none sees the value "for free" (causality: you cannot
     /// read an object before its transfer finished).
     sim::SimTime resolved_vtime = 0;
+    /// Guards `pending` and the single publication.
+    std::mutex mu;
     /// Valid while a resolve (sync or async) is in flight; all concurrent
     /// resolvers wait on it, making the factory invocation single-flight.
     Future<Unit> pending;
   };
 
   void ensure_resolved() const {
+    if (state_->published.load(std::memory_order_acquire)) {
+      sim::vmerge(state_->resolved_vtime);
+      return;
+    }
+    resolve_slow();
+  }
+
+  /// First resolve: become the resolver or join the one in flight.
+  void resolve_slow() const {
     Promise<Unit> promise;
     Future<Unit> in_flight;
     bool resolver = false;
     {
       std::lock_guard lock(state_->mu);
-      if (state_->target.has_value() && !state_->pending.valid()) {
-        const sim::SimTime resolved = state_->resolved_vtime;
-        sim::vmerge(resolved);
-        return;
-      }
       if (state_->pending.valid()) {
         in_flight = state_->pending;
+      } else if (resolved()) {
+        // Published between the fast-path check and taking the lock.
+        sim::vmerge(state_->resolved_vtime);
+        return;
       } else {
         in_flight = promise.future();
         state_->pending = in_flight;

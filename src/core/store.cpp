@@ -22,19 +22,6 @@ void Store::close() {
   }
 }
 
-Store::Metrics Store::metrics() const {
-  Metrics m;
-  m.puts = metrics_puts_.load();
-  m.gets = metrics_gets_.load();
-  m.exists_calls = metrics_exists_.load();
-  m.cache_hits = metrics_cache_hits_.load();
-  m.evicts = metrics_evicts_.load();
-  m.cache_evictions = cache_.evictions();
-  m.bytes_put = metrics_bytes_put_.load();
-  m.bytes_got = metrics_bytes_got_.load();
-  return m;
-}
-
 namespace {
 
 /// The per-process registry slot type (see Process::local).

@@ -48,6 +48,41 @@ inline std::string trace_subject(const std::string& store_name,
   return store_name + "/" + key.canonical();
 }
 
+namespace detail {
+
+/// Registry handles for every Store event, op histogram and descriptor
+/// resolve series, shared by all stores. Each records into the ambient
+/// registry, so per-process metrics scoping attributes it to the simulated
+/// site doing the work (the global registry when scoping is off).
+struct StoreInstruments {
+  obs::CounterHandle puts{"store.puts"};
+  obs::CounterHandle gets{"store.gets"};
+  obs::CounterHandle exists{"store.exists"};
+  obs::CounterHandle evicts{"store.evicts"};
+  obs::CounterHandle proxies{"store.proxies"};
+  obs::CounterHandle cache_hits{"store.cache.hits"};
+  obs::CounterHandle cache_misses{"store.cache.misses"};
+  obs::CounterHandle put_bytes{"store.put.bytes"};
+  obs::CounterHandle get_bytes{"store.get.bytes"};
+  obs::HistogramHandle put_vtime{"store.put.vtime"};
+  obs::HistogramHandle put_wall{"store.put.wall"};
+  obs::HistogramHandle get_vtime{"store.get.vtime"};
+  obs::HistogramHandle get_wall{"store.get.wall"};
+  obs::CounterHandle resolves{"proxy.resolves"};
+  obs::CounterHandle resolve_failures{"proxy.resolve_failures"};
+  obs::HistogramHandle resolve_vtime{"proxy.resolve.vtime"};
+  obs::HistogramHandle resolve_wall{"proxy.resolve.wall"};
+};
+
+inline const StoreInstruments& store_instruments() {
+  // Never destroyed, like the registry itself, so a store op still running
+  // on a pool thread at exit never races static destruction.
+  static const StoreInstruments* instruments = new StoreInstruments();
+  return *instruments;
+}
+
+}  // namespace detail
+
 class Store : public std::enable_shared_from_this<Store> {
  public:
   struct Options {
@@ -55,19 +90,6 @@ class Store : public std::enable_shared_from_this<Store> {
     std::size_t cache_size = 16;
 
     bool operator==(const Options&) const = default;
-  };
-
-  struct Metrics {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t exists_calls = 0;
-    std::uint64_t cache_hits = 0;
-    /// Explicit evict() calls against this store.
-    std::uint64_t evicts = 0;
-    /// LRU evictions inside the deserialized-object cache.
-    std::uint64_t cache_evictions = 0;
-    std::uint64_t bytes_put = 0;
-    std::uint64_t bytes_got = 0;
   };
 
   Store(std::string name, std::shared_ptr<Connector> connector,
@@ -91,11 +113,10 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Key put(const T& value) {
     check_open();
-    obs::Timer timer(&put_metrics().vtime, &put_metrics().wall);
+    const detail::StoreInstruments& m = detail::store_instruments();
+    obs::Timer timer(&m.put_vtime.get(), &m.put_wall.get());
     const Bytes data = serialize_value(value);
-    metrics_bytes_put_ += data.size();
-    ++metrics_puts_;
-    count_event("store.puts");
+    count_put(data.size());
     return connector_->put(data);
   }
 
@@ -104,11 +125,10 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Key put(const T& value, const PutHints& hints) {
     check_open();
-    obs::Timer timer(&put_metrics().vtime, &put_metrics().wall);
+    const detail::StoreInstruments& m = detail::store_instruments();
+    obs::Timer timer(&m.put_vtime.get(), &m.put_wall.get());
     const Bytes data = serialize_value(value);
-    metrics_bytes_put_ += data.size();
-    ++metrics_puts_;
-    count_event("store.puts");
+    count_put(data.size());
     return connector_->put_hinted(data, hints);
   }
 
@@ -120,9 +140,7 @@ class Store : public std::enable_shared_from_this<Store> {
     blobs.reserve(values.size());
     for (const T& value : values) {
       blobs.push_back(serialize_value(value));
-      metrics_bytes_put_ += blobs.back().size();
-      ++metrics_puts_;
-      count_event("store.puts");
+      count_put(blobs.back().size());
     }
     return connector_->put_batch(blobs);
   }
@@ -133,11 +151,7 @@ class Store : public std::enable_shared_from_this<Store> {
   /// transfer still goes through Connector::put_batch.
   std::vector<Key> put_bytes_batch(const std::vector<Bytes>& blobs) {
     check_open();
-    for (const Bytes& blob : blobs) {
-      metrics_bytes_put_ += blob.size();
-      ++metrics_puts_;
-      count_event("store.puts");
-    }
+    for (const Bytes& blob : blobs) count_put(blob.size());
     return connector_->put_batch(blobs);
   }
 
@@ -155,40 +169,35 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   std::optional<T> get(const Key& key) {
     check_open();
-    ++metrics_gets_;
-    count_event("store.gets");
-    obs::Timer timer(&get_metrics().vtime, &get_metrics().wall);
+    const detail::StoreInstruments& m = detail::store_instruments();
+    m.gets.get().inc();
+    obs::Timer timer(&m.get_vtime.get(), &m.get_wall.get());
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
     const bool tracing = tracer.enabled();
+    const std::string subject =
+        tracing ? trace_subject(name_, key) : std::string{};
     const std::string cache_key = key.canonical();
     {
-      obs::SpanScope probe("store.cache.probe",
-                           tracing ? trace_subject(name_, key)
-                                   : std::string{},
-                           "cache-probe");
+      obs::SpanScope probe("store.cache.probe", subject, "cache-probe");
       if (auto cached = cache_.get<T>(cache_key)) {
-        ++metrics_cache_hits_;
-        count_event("store.cache.hits");
-        if (tracing) tracer.record(trace_subject(name_, key), "cache.hit");
+        m.cache_hits.get().inc();
+        if (tracing) tracer.record(subject, "cache.hit");
         return *cached;
       }
     }
-    count_event("store.cache.misses");
+    m.cache_misses.get().inc();
     std::optional<Bytes> data = connector_->get(key);
-    if (tracing) tracer.record(trace_subject(name_, key), "connector.get");
+    if (tracing) tracer.record(subject, "connector.get");
     if (!data) return std::nullopt;
-    metrics_bytes_got_ += data->size();
+    m.get_bytes.get().inc(data->size());
     std::optional<T> value;
     {
-      obs::SpanScope serde("store.deserialize",
-                           tracing ? trace_subject(name_, key)
-                                   : std::string{},
-                           "serde");
+      obs::SpanScope serde("store.deserialize", subject, "serde");
       value.emplace(deserialize_value<T>(*data));
     }
-    if (tracing) tracer.record(trace_subject(name_, key), "deserialize");
+    if (tracing) tracer.record(subject, "deserialize");
     cache_fill(cache_key, *value);
-    if (tracing) tracer.record(trace_subject(name_, key), "cache.insert");
+    if (tracing) tracer.record(subject, "cache.insert");
     return value;
   }
 
@@ -207,12 +216,11 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   ps::core::Future<std::optional<T>> get_async(const Key& key) {
     check_open();
-    ++metrics_gets_;
-    count_event("store.gets");
+    const detail::StoreInstruments& m = detail::store_instruments();
+    m.gets.get().inc();
     const std::string cache_key = key.canonical();
     if (auto cached = cache_.get<T>(cache_key)) {
-      ++metrics_cache_hits_;
-      count_event("store.cache.hits");
+      m.cache_hits.get().inc();
       return make_ready_future(std::optional<T>(*cached));
     }
     const InFlightKey in_flight_key{cache_key, std::type_index(typeid(T))};
@@ -221,7 +229,7 @@ class Store : public std::enable_shared_from_this<Store> {
       std::lock_guard lock(inflight_mu_);
       const auto it = inflight_.find(in_flight_key);
       if (it != inflight_.end()) {
-      count_event("store.cache.misses");
+        m.cache_misses.get().inc();
         return std::any_cast<ps::core::Future<std::optional<T>>>(it->second);
       }
       // A fetch may have finished between the unlocked cache probe above and
@@ -229,11 +237,10 @@ class Store : public std::enable_shared_from_this<Store> {
       // in-flight entry (which requires this lock), so re-probing here keeps
       // the exactly-one-deserialization-per-key guarantee airtight.
       if (auto cached = cache_.get<T>(cache_key)) {
-        ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        m.cache_hits.get().inc();
         return make_ready_future(std::optional<T>(*cached));
       }
-      count_event("store.cache.misses");
+      m.cache_misses.get().inc();
       inflight_.emplace(in_flight_key, std::any(promise.future()));
     }
     ps::core::Future<std::optional<Bytes>> raw = connector_->get_async(key);
@@ -245,7 +252,7 @@ class Store : public std::enable_shared_from_this<Store> {
           promise.set_value(std::nullopt);
           return;
         }
-        metrics_bytes_got_ += data->size();
+        detail::store_instruments().get_bytes.get().inc(data->size());
         std::optional<T> value;
         {
           obs::SpanScope serde("store.deserialize", cache_key, "serde");
@@ -293,19 +300,18 @@ class Store : public std::enable_shared_from_this<Store> {
         joined;
     std::vector<std::pair<std::size_t, std::size_t>> aliases;  // i → miss pos
     std::unordered_map<std::string, std::size_t> first_miss;
+    const detail::StoreInstruments& m = detail::store_instruments();
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      ++metrics_gets_;
-      count_event("store.gets");
+      m.gets.get().inc();
       const std::string cache_key = keys[i].canonical();
       if (auto cached = cache_.get<T>(cache_key)) {
-        ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        m.cache_hits.get().inc();
         out[i] = *cached;
         continue;
       }
       if (const auto dup = first_miss.find(cache_key);
           dup != first_miss.end()) {
-          count_event("store.cache.misses");
+        m.cache_misses.get().inc();
         aliases.emplace_back(i, dup->second);
         continue;
       }
@@ -313,19 +319,18 @@ class Store : public std::enable_shared_from_this<Store> {
       std::lock_guard lock(inflight_mu_);
       if (const auto it = inflight_.find(in_flight_key);
           it != inflight_.end()) {
-          count_event("store.cache.misses");
+        m.cache_misses.get().inc();
         joined.emplace_back(
             i, std::any_cast<ps::core::Future<std::optional<T>>>(it->second));
         continue;
       }
       // Same completed-between-probe-and-lock re-check as get_async.
       if (auto cached = cache_.get<T>(cache_key)) {
-        ++metrics_cache_hits_;
-        count_event("store.cache.hits");
+        m.cache_hits.get().inc();
         out[i] = *cached;
         continue;
       }
-      count_event("store.cache.misses");
+      m.cache_misses.get().inc();
       Miss miss{i, keys[i], cache_key, {}};
       inflight_.emplace(in_flight_key, std::any(miss.promise.future()));
       first_miss.emplace(cache_key, misses.size());
@@ -350,7 +355,7 @@ class Store : public std::enable_shared_from_this<Store> {
             miss.promise.set_value(std::nullopt);
             continue;
           }
-          metrics_bytes_got_ += results[done]->size();
+          m.get_bytes.get().inc(results[done]->size());
           std::optional<T>& value = out[miss.index];
           {
             obs::SpanScope serde("store.deserialize", miss.cache_key,
@@ -396,14 +401,14 @@ class Store : public std::enable_shared_from_this<Store> {
   /// True when the object is cached locally or present in the channel.
   bool exists(const Key& key) {
     check_open();
-    ++metrics_exists_;
+    detail::store_instruments().exists.get().inc();
     return cache_.contains(key.canonical()) || connector_->exists(key);
   }
 
   /// Removes the object from the channel and the local cache.
   void evict(const Key& key) {
     check_open();
-    ++metrics_evicts_;
+    detail::store_instruments().evicts.get().inc();
     cache_.erase(key.canonical());
     connector_->evict(key);
   }
@@ -414,10 +419,8 @@ class Store : public std::enable_shared_from_this<Store> {
   /// costs one wire exchange on kv-backed channels.
   void evict_batch(const std::vector<Key>& keys) {
     check_open();
-    for (const Key& key : keys) {
-      ++metrics_evicts_;
-      cache_.erase(key.canonical());
-    }
+    detail::store_instruments().evicts.get().inc(keys.size());
+    for (const Key& key : keys) cache_.erase(key.canonical());
     connector_->evict_batch(keys);
   }
 
@@ -455,15 +458,16 @@ class Store : public std::enable_shared_from_this<Store> {
   template <typename T>
   Proxy<T> proxy_from_key(const Key& key, bool evict = false) {
     check_open();
-    obs::MetricsRegistry::ambient().counter("store.proxies").inc();
-    obs::SpanScope span("store.proxy", trace_subject(name_, key));
+    detail::store_instruments().proxies.get().inc();
     obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-    if (tracer.enabled()) {
-      tracer.record(trace_subject(name_, key), "proxy.created");
-    }
+    const bool tracing = tracer.enabled();
+    const std::string subject =
+        tracing ? trace_subject(name_, key) : std::string{};
+    obs::SpanScope span("store.proxy", subject);
+    if (tracing) tracer.record(subject, "proxy.created");
     FactoryDescriptor descriptor{name_, key, connector_->config(), evict};
     descriptor.trace = span.context();
-    return Proxy<T>(make_factory<T>(std::move(descriptor)));
+    return Proxy<T>(make_descriptor_factory<T>(std::move(descriptor)));
   }
 
   // -- data-flow proxies (paper section 6 future work: "readers of an
@@ -487,11 +491,15 @@ class Store : public std::enable_shared_from_this<Store> {
                         std::uint32_t max_polls = 1000) {
     check_open();
     Key key = connector_->reserve_key();
-    obs::SpanScope span("store.future", trace_subject(name_, key));
+    const std::string subject = obs::TraceRecorder::global().enabled()
+                                    ? trace_subject(name_, key)
+                                    : std::string{};
+    obs::SpanScope span("store.future", subject);
     FactoryDescriptor descriptor{name_, key, connector_->config(),
                                  /*evict=*/false, poll_interval_s, max_polls};
     descriptor.trace = span.context();
-    return Future<T>{key, Proxy<T>(make_factory<T>(std::move(descriptor)))};
+    return Future<T>{
+        key, Proxy<T>(make_descriptor_factory<T>(std::move(descriptor)))};
   }
 
   /// Fulfils a data-flow proxy: writes `value` at the future's key.
@@ -499,9 +507,7 @@ class Store : public std::enable_shared_from_this<Store> {
   void fulfill(const Key& key, const T& value) {
     check_open();
     const Bytes data = serialize_value(value);
-    metrics_bytes_put_ += data.size();
-    ++metrics_puts_;
-    count_event("store.puts");
+    count_put(data.size());
     if (!connector_->put_at(key, data)) {
       throw ConnectorError("Store '" + name_ +
                            "': connector does not support addressed writes");
@@ -517,6 +523,7 @@ class Store : public std::enable_shared_from_this<Store> {
     std::lock_guard lock(serializers_mu_);
     serializers_[std::type_index(typeid(T))] =
         SerializerEntry{std::move(serializer), std::move(deserializer)};
+    has_serializers_.store(true, std::memory_order_release);
   }
 
   // -- lifecycle ---------------------------------------------------------
@@ -524,8 +531,6 @@ class Store : public std::enable_shared_from_this<Store> {
   /// Closes the store and its connector. Subsequent operations throw.
   void close();
   bool closed() const { return closed_.load(); }
-
-  Metrics metrics() const;
 
  private:
   struct SerializerEntry {
@@ -539,8 +544,11 @@ class Store : public std::enable_shared_from_this<Store> {
     }
   }
 
+  /// The custom codec registered for T, if any. Lock-free (one acquire
+  /// load) while the store has no registered serializer at all.
   template <typename T>
   const SerializerEntry* find_serializer() const {
+    if (!has_serializers_.load(std::memory_order_acquire)) return nullptr;
     std::lock_guard lock(serializers_mu_);
     const auto it = serializers_.find(std::type_index(typeid(T)));
     return it == serializers_.end() ? nullptr : &it->second;
@@ -586,9 +594,6 @@ class Store : public std::enable_shared_from_this<Store> {
     }
   }
 
-  template <typename T>
-  Factory<T> make_factory(FactoryDescriptor descriptor);
-
   /// Single-flight table for async fetches: (canonical key, value type) →
   /// std::any holding the ps::core::Future<std::optional<T>> every
   /// concurrent getter of that object shares.
@@ -599,28 +604,10 @@ class Store : public std::enable_shared_from_this<Store> {
     inflight_.erase(key);
   }
 
-  /// Op histograms shared across stores, resolved in the ambient registry
-  /// per call so per-process metrics scoping attributes them to the
-  /// simulated site doing the work (the global registry when scoping is
-  /// off — the historical behavior).
-  struct OpHistograms {
-    obs::Histogram& vtime;
-    obs::Histogram& wall;
-  };
-  static OpHistograms put_metrics() {
-    obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-    return OpHistograms{ambient.histogram("store.put.vtime"),
-                        ambient.histogram("store.put.wall")};
-  }
-  static OpHistograms get_metrics() {
-    obs::MetricsRegistry& ambient = obs::MetricsRegistry::ambient();
-    return OpHistograms{ambient.histogram("store.get.vtime"),
-                        ambient.histogram("store.get.wall")};
-  }
-  /// Ambient-registry event counter: the telemetry plane's view of store
-  /// activity (the per-store atomics below feed Store::metrics()).
-  static void count_event(const char* name) {
-    obs::MetricsRegistry::ambient().counter(name).inc();
+  static void count_put(std::size_t bytes) {
+    const detail::StoreInstruments& m = detail::store_instruments();
+    m.puts.get().inc();
+    m.put_bytes.get().inc(bytes);
   }
 
   std::string name_;
@@ -629,16 +616,11 @@ class Store : public std::enable_shared_from_this<Store> {
   ObjectCache cache_;
   mutable std::mutex serializers_mu_;
   std::unordered_map<std::type_index, SerializerEntry> serializers_;
+  /// Set (never cleared) by the first register_serializer.
+  std::atomic<bool> has_serializers_{false};
   mutable std::mutex inflight_mu_;
   std::map<InFlightKey, std::any> inflight_;
   std::atomic<bool> closed_{false};
-  std::atomic<std::uint64_t> metrics_puts_{0};
-  std::atomic<std::uint64_t> metrics_gets_{0};
-  std::atomic<std::uint64_t> metrics_exists_{0};
-  std::atomic<std::uint64_t> metrics_cache_hits_{0};
-  std::atomic<std::uint64_t> metrics_evicts_{0};
-  std::atomic<std::uint64_t> metrics_bytes_put_{0};
-  std::atomic<std::uint64_t> metrics_bytes_got_{0};
 };
 
 // ---------------------------------------------------------------------------
@@ -672,54 +654,58 @@ std::shared_ptr<Store> get_or_register_store(
 std::uint32_t refcount_decrement(const std::string& store_name,
                                  const std::string& canonical_key);
 
+namespace detail {
+
+/// Resolves a store-backed proxy's target from its descriptor: finds (or
+/// re-creates) the store in the calling process, gets the object, and
+/// applies the descriptor's evict / data-flow / ref-count semantics.
 template <typename T>
-Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
-  auto fn = [descriptor]() -> T {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter("proxy.resolves").inc();
-    obs::Timer timer(&registry.histogram("proxy.resolve.vtime"),
-                     &registry.histogram("proxy.resolve.wall"));
-    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-    const bool tracing = tracer.enabled();
-    const std::string subject =
-        trace_subject(descriptor.store_name, descriptor.key);
-    // The descriptor carries the creating hop's context: adopt it so the
-    // resolve span parents to the proxy-creation span even when this code
-    // runs in a different simulated process/site.
-    obs::ContextScope adopt(descriptor.trace);
-    obs::SpanScope span("proxy.resolve", subject);
-    if (tracing) tracer.record(subject, "resolve.start");
-    std::shared_ptr<Store> store = get_or_register_store(descriptor);
-    std::optional<T> value = store->get<T>(descriptor.key);
-    // Data-flow proxies poll until the producer writes the object.
-    for (std::uint32_t poll = 0; !value && poll < descriptor.max_polls;
-         ++poll) {
-      sim::vadvance(descriptor.poll_interval_s);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      value = store->get<T>(descriptor.key);
-    }
-    if (!value) {
-      registry.counter("proxy.resolve_failures").inc();
-      throw ProxyResolutionError("proxy target '" +
-                                 descriptor.key.canonical() +
-                                 "' not found in store '" +
-                                 descriptor.store_name + "'");
-    }
-    if (descriptor.evict) store->evict(descriptor.key);
-    if (descriptor.ref_counted &&
-        refcount_decrement(descriptor.store_name,
-                           descriptor.key.canonical()) == 0) {
-      store->evict(descriptor.key);
-    }
-    if (tracing) tracer.record(subject, "resolve.done");
-    return std::move(*value);
-  };
-  return Factory<T>(std::move(fn), std::move(descriptor));
+T resolve_descriptor(const FactoryDescriptor& descriptor) {
+  const StoreInstruments& m = store_instruments();
+  m.resolves.get().inc();
+  obs::Timer timer(&m.resolve_vtime.get(), &m.resolve_wall.get());
+  obs::TraceRecorder& tracer = obs::TraceRecorder::global();
+  const bool tracing = tracer.enabled();
+  const std::string subject =
+      tracing ? trace_subject(descriptor.store_name, descriptor.key)
+              : std::string{};
+  // The descriptor carries the creating hop's context: adopt it so the
+  // resolve span parents to the proxy-creation span even when this code
+  // runs in a different simulated process/site.
+  obs::ContextScope adopt(descriptor.trace);
+  obs::SpanScope span("proxy.resolve", subject);
+  if (tracing) tracer.record(subject, "resolve.start");
+  std::shared_ptr<Store> store = get_or_register_store(descriptor);
+  std::optional<T> value = store->get<T>(descriptor.key);
+  // Data-flow proxies poll until the producer writes the object.
+  for (std::uint32_t poll = 0; !value && poll < descriptor.max_polls;
+       ++poll) {
+    sim::vadvance(descriptor.poll_interval_s);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    value = store->get<T>(descriptor.key);
+  }
+  if (!value) {
+    m.resolve_failures.get().inc();
+    throw ProxyResolutionError("proxy target '" + descriptor.key.canonical() +
+                               "' not found in store '" +
+                               descriptor.store_name + "'");
+  }
+  if (descriptor.evict) store->evict(descriptor.key);
+  if (descriptor.ref_counted &&
+      refcount_decrement(descriptor.store_name,
+                         descriptor.key.canonical()) == 0) {
+    store->evict(descriptor.key);
+  }
+  if (tracing) tracer.record(subject, "resolve.done");
+  return std::move(*value);
 }
 
+}  // namespace detail
+
+/// The serializable factory for a store-backed proxy.
 template <typename T>
-Factory<T> Store::make_factory(FactoryDescriptor descriptor) {
-  return make_descriptor_factory<T>(std::move(descriptor));
+Factory<T> make_descriptor_factory(FactoryDescriptor descriptor) {
+  return Factory<T>(std::move(descriptor), &detail::resolve_descriptor<T>);
 }
 
 }  // namespace ps::core

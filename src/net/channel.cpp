@@ -7,6 +7,23 @@
 
 namespace ps::net {
 
+namespace {
+
+struct WireInstruments {
+  obs::GaugeHandle inflight{"rpc.inflight", obs::GaugeAgg::kMax};
+  obs::HistogramHandle depth{"rpc.pipeline.depth"};
+  obs::CounterHandle requests{"rpc.requests"};
+};
+
+const WireInstruments& wire_instruments() {
+  // Never destroyed, like the registry itself: pool threads may still
+  // transact during exit.
+  static const WireInstruments* instruments = new WireInstruments();
+  return *instruments;
+}
+
+}  // namespace
+
 WireSample PipelinedChannel::transact(double issue, double request_cost,
                                       const Serve& serve) {
   std::lock_guard lock(mu_);
@@ -42,12 +59,10 @@ WireSample PipelinedChannel::transact(double issue, double request_cost,
   last_completion_ = sample.completion;
   ++requests_;
 
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::ambient();
-  reg.gauge("rpc.inflight", obs::GaugeAgg::kMax)
-      .set(static_cast<double>(sample.depth));
-  reg.histogram("rpc.pipeline.depth")
-      .observe(static_cast<double>(sample.depth));
-  reg.counter("rpc.requests").inc();
+  const WireInstruments& m = wire_instruments();
+  m.inflight.get().set(static_cast<double>(sample.depth));
+  m.depth.get().observe(static_cast<double>(sample.depth));
+  m.requests.get().inc();
   return sample;
 }
 

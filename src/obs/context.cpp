@@ -71,14 +71,14 @@ ContextScope::ContextScope(const TraceContext& ctx) : previous_(t_context) {
 
 ContextScope::~ContextScope() { t_context = previous_; }
 
-SpanScope::SpanScope(const std::string& name, std::string subject,
-                     std::string kind) {
+SpanScope::SpanScope(std::string_view name, std::string_view subject,
+                     std::string_view kind) {
   TraceRecorder& recorder = TraceRecorder::global();
   if (!recorder.enabled()) return;
   active_ = true;
   name_ = name;
-  subject_ = std::move(subject);
-  kind_ = std::move(kind);
+  subject_ = subject;
+  kind_ = kind;
   previous_ = t_context;
   ctx_ = previous_.valid() ? child_of(previous_) : new_root_context();
   t_context = ctx_;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 namespace ps::obs {
@@ -91,14 +92,15 @@ class ContextScope {
 /// RAII span: on construction becomes the thread's current context (a child
 /// of the previous context, or a new trace root), on destruction records a
 /// SpanRecord — wall + virtual start/end, locality — into the global
-/// TraceRecorder. Inert while tracing is disabled.
+/// TraceRecorder. Inert while tracing is disabled: the strings are copied
+/// only into an active span, so a disabled span never allocates.
 class SpanScope {
  public:
   /// `kind` tags the recorded span with its critical-path segment
   /// ("wire-transfer", "serde", ... — see obs/critical.hpp); empty leaves
   /// classification to the analyzer's name-based fallback.
-  explicit SpanScope(const std::string& name, std::string subject = {},
-                     std::string kind = {});
+  explicit SpanScope(std::string_view name, std::string_view subject = {},
+                     std::string_view kind = {});
   ~SpanScope();
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;

@@ -101,6 +101,8 @@ MetricsRegistry* set_ambient_registry(MetricsRegistry* registry) {
   return previous;
 }
 
+MetricsRegistry* scoped_registry() { return t_ambient_registry; }
+
 // ------------------------------------------------------------ histogram ----
 
 const std::array<double, Histogram::kBuckets>& Histogram::bounds() {
@@ -117,7 +119,8 @@ std::size_t Histogram::bucket_index(double seconds) {
 
 void Histogram::observe(double seconds) {
   if (seconds < 0.0) seconds = 0.0;
-  buckets_[bucket_index(seconds)].fetch_add(1, std::memory_order_relaxed);
+  const std::size_t bucket = bucket_index(seconds);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t ns = to_ns(seconds);
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   std::uint64_t seen = min_ns_.load(std::memory_order_relaxed);
@@ -132,7 +135,7 @@ void Histogram::observe(double seconds) {
   if (idx < kReservoir) {
     reservoir_[idx].store(seconds, std::memory_order_relaxed);
   }
-  maybe_exemplar(bucket_index(seconds), seconds);
+  maybe_exemplar(bucket, seconds);
 }
 
 void Histogram::maybe_exemplar(std::size_t bucket, double seconds) {
@@ -277,7 +280,7 @@ MetricsRegistry& MetricsRegistry::global() {
 }
 
 MetricsRegistry& MetricsRegistry::ambient() {
-  MetricsRegistry* scoped = t_ambient_registry;
+  MetricsRegistry* scoped = scoped_registry();
   return scoped != nullptr ? *scoped : global();
 }
 

@@ -2,8 +2,9 @@
 //
 // Named counters, gauges, and fixed-bucket latency histograms with lock-free
 // hot-path updates. Registration (name -> metric) takes a mutex once; callers
-// cache the returned reference, after which every increment/observe is a
-// handful of relaxed atomic operations. Histograms keep a bounded reservoir of
+// cache the returned reference (or hold a MetricHandle, which also follows
+// per-process scoping), after which every increment/observe is a handful of
+// relaxed atomic operations. Histograms keep a bounded reservoir of
 // raw samples so percentiles are exact for small series (benches) and
 // bucket-interpolated beyond that. Exported as a human-readable table or JSON
 // (`dump_table()` / `dump_json()`, surfaced by `psctl metrics`).
@@ -16,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -262,5 +264,56 @@ class MetricsRegistry {
 /// save/restore pair proc::ProcessScope uses. Plain thread_local swap;
 /// callers own the registry's lifetime.
 MetricsRegistry* set_ambient_registry(MetricsRegistry* registry);
+
+/// The calling thread's ambient override: the registry a ProcessScope
+/// installed, or nullptr while ambient() is the global registry.
+MetricsRegistry* scoped_registry();
+
+/// A named metric bound once to its global instance.
+///
+/// get() returns the bound instance while the calling thread has no scoped
+/// ambient registry — one thread-local load, no lock, no allocation. Under
+/// per-process scoping it re-resolves the name in the scoped registry, so
+/// the sample lands in the simulated process doing the work. Hot paths keep
+/// handles as statics or members instead of looking names up per call.
+template <typename M>
+class MetricHandle {
+  static_assert(std::is_same_v<M, Counter> || std::is_same_v<M, Gauge> ||
+                std::is_same_v<M, Histogram>);
+
+ public:
+  /// `agg` pins a gauge's aggregation hint in every registry the name
+  /// resolves in; counters and histograms ignore it.
+  explicit MetricHandle(std::string name, GaugeAgg agg = GaugeAgg::kLast)
+      : name_(std::move(name)),
+        agg_(agg),
+        global_(&lookup(MetricsRegistry::global())) {}
+
+  M& get() const {
+    MetricsRegistry* scoped = scoped_registry();
+    return scoped == nullptr ? *global_ : lookup(*scoped);
+  }
+
+  const std::string& name() const { return name_; }
+
+ private:
+  M& lookup(MetricsRegistry& registry) const {
+    if constexpr (std::is_same_v<M, Counter>) {
+      return registry.counter(name_);
+    } else if constexpr (std::is_same_v<M, Gauge>) {
+      return registry.gauge(name_, agg_);
+    } else {
+      return registry.histogram(name_);
+    }
+  }
+
+  std::string name_;
+  GaugeAgg agg_;
+  M* global_;
+};
+
+using CounterHandle = MetricHandle<Counter>;
+using GaugeHandle = MetricHandle<Gauge>;
+using HistogramHandle = MetricHandle<Histogram>;
 
 }  // namespace ps::obs

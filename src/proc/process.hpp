@@ -56,7 +56,7 @@ class Process {
     if (it == slots_.end()) {
       it = slots_.emplace(key, std::make_shared<T>()).first;
     }
-    return *std::static_pointer_cast<T>(it->second);
+    return *static_cast<T*>(it->second.get());
   }
 
  private:

@@ -359,6 +359,28 @@ TEST_F(AsyncTest, RacingResolversInvokeFactoryExactlyOnce) {
   for (const double vtime : observed_vtime) {
     EXPECT_GE(vtime, kStart + kTransfer);
   }
+
+  // Late observers arrive after publication, from the start of virtual
+  // time: they take the lock-free published path, see the one target, and
+  // are still charged the transfer.
+  const int* target = &proxy.resolve();
+  std::vector<std::thread> late;
+  std::vector<double> late_vtime(kThreads, 0.0);
+  std::atomic<int> wrong_targets{0};
+  for (int i = 0; i < kThreads; ++i) {
+    late.emplace_back([&, i] {
+      proc::ProcessScope scope(*process_);
+      sim::vset(0.0);
+      if (&*proxy != target) wrong_targets.fetch_add(1);
+      late_vtime[static_cast<std::size_t>(i)] = sim::vnow();
+    });
+  }
+  for (std::thread& thread : late) thread.join();
+  EXPECT_EQ(invocations.load(), 1);
+  EXPECT_EQ(wrong_targets.load(), 0);
+  for (const double vtime : late_vtime) {
+    EXPECT_GE(vtime, kStart + kTransfer);
+  }
 }
 
 TEST_F(AsyncTest, FailedResolveRethrowsAndPermitsRetry) {
@@ -457,6 +479,12 @@ std::shared_ptr<Store> counting_store(const std::string& name,
   return store;
 }
 
+/// A Store event counter. Metrics scoping is off in these tests, so every
+/// store records into the global registry.
+std::uint64_t store_counter(const char* name) {
+  return obs::MetricsRegistry::global().counter(name).value();
+}
+
 TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
   constexpr int kObjects = 8;
   constexpr int kBatchThreads = 3;
@@ -476,6 +504,8 @@ TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
     }
   }
 
+  const std::uint64_t gets_before = store_counter("store.gets");
+  const std::uint64_t hits_before = store_counter("store.cache.hits");
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kBatchThreads; ++t) {
@@ -508,13 +538,13 @@ TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
   // Single-flight: no matter how the six threads interleave, each object
   // crosses the deserializer exactly once and lands in the cache.
   EXPECT_EQ(deserializations.load(), kObjects);
-  const Store::Metrics metrics = store->metrics();
-  EXPECT_EQ(metrics.gets,
-            static_cast<std::uint64_t>((kBatchThreads + kSingleThreads) *
-                                       kObjects));
-  EXPECT_EQ(metrics.cache_evictions, 0u);  // capacity 64 never pressured
-  EXPECT_LE(metrics.cache_hits,
-            metrics.gets - static_cast<std::uint64_t>(kObjects));
+  const std::uint64_t gets = store_counter("store.gets") - gets_before;
+  const std::uint64_t cache_hits =
+      store_counter("store.cache.hits") - hits_before;
+  EXPECT_EQ(gets, static_cast<std::uint64_t>(
+                      (kBatchThreads + kSingleThreads) * kObjects));
+  EXPECT_EQ(store->cache().evictions(), 0u);  // capacity 64 never pressured
+  EXPECT_LE(cache_hits, gets - static_cast<std::uint64_t>(kObjects));
 }
 
 TEST_F(AsyncTest, ResolveBatchDedupsRepeatsAndReportsMisses) {
@@ -551,6 +581,8 @@ TEST_F(AsyncTest, ResolveBatchEvictionMetricsStayConsistent) {
   for (int i = 0; i < 6; ++i) {
     keys.push_back(store->put("value-" + std::to_string(i)));
   }
+  const std::uint64_t gets_before = store_counter("store.gets");
+  const std::uint64_t hits_before = store_counter("store.cache.hits");
   const std::vector<std::optional<std::string>> values =
       store->resolve_batch<std::string>(keys);
   for (int i = 0; i < 6; ++i) {
@@ -558,10 +590,9 @@ TEST_F(AsyncTest, ResolveBatchEvictionMetricsStayConsistent) {
     ASSERT_TRUE(values[index].has_value());
     EXPECT_EQ(*values[index], "value-" + std::to_string(i));
   }
-  const Store::Metrics metrics = store->metrics();
-  EXPECT_EQ(metrics.gets, 6u);
-  EXPECT_EQ(metrics.cache_hits, 0u);
-  EXPECT_EQ(metrics.cache_evictions, 4u);  // 6 inserts into a 2-slot LRU
+  EXPECT_EQ(store_counter("store.gets") - gets_before, 6u);
+  EXPECT_EQ(store_counter("store.cache.hits") - hits_before, 0u);
+  EXPECT_EQ(store->cache().evictions(), 4u);  // 6 inserts into a 2-slot LRU
   EXPECT_EQ(store->cache().size(), 2u);
   EXPECT_EQ(deserializations.load(), 6);
 }
@@ -573,6 +604,7 @@ TEST_F(AsyncTest, GetAsyncCachesAndCompletesInlineOnHit) {
       counting_store("async-hit", std::make_shared<LocalConnector>(),
                      Store::Options{.cache_size = 16}, deserializations);
   const Key key = store->put(std::string("payload"));
+  const std::uint64_t hits_before = store_counter("store.cache.hits");
 
   const std::optional<std::string> first =
       store->get_async<std::string>(key).get();
@@ -584,7 +616,7 @@ TEST_F(AsyncTest, GetAsyncCachesAndCompletesInlineOnHit) {
   EXPECT_TRUE(second.ready());  // cache hit completes inline
   EXPECT_EQ(*second.wait(), "payload");
   EXPECT_EQ(deserializations.load(), 1);
-  EXPECT_GE(store->metrics().cache_hits, 1u);
+  EXPECT_GE(store_counter("store.cache.hits") - hits_before, 1u);
 }
 
 TEST_F(AsyncTest, PrefetchWarmsTheDeserializedCache) {

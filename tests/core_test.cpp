@@ -14,6 +14,7 @@
 #include "core/multi.hpp"
 #include "core/proxy.hpp"
 #include "core/store.hpp"
+#include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
 
@@ -85,6 +86,35 @@ TEST(Cache, TypeMismatchMisses) {
   ObjectCache cache(4);
   cache.put<int>("a", std::make_shared<const int>(42));
   EXPECT_EQ(cache.get<std::string>("a"), nullptr);
+}
+
+TEST(Cache, TypeMismatchIsAMissAndKeepsLruOrder) {
+  ObjectCache cache(2);
+  cache.put<int>("A", std::make_shared<const int>(1));
+  cache.put<int>("B", std::make_shared<const int>(2));
+  EXPECT_EQ(cache.get<std::string>("A"), nullptr);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+  cache.put<int>("C", std::make_shared<const int>(3));
+  // The mistyped probe did not refresh A, so A made room for C.
+  EXPECT_FALSE(cache.contains("A"));
+  EXPECT_TRUE(cache.contains("B"));
+  EXPECT_TRUE(cache.contains("C"));
+}
+
+TEST(Cache, ReplaceRefreshesWithoutEvicting) {
+  ObjectCache cache(2);
+  cache.put<int>("a", std::make_shared<const int>(1));
+  cache.put<int>("b", std::make_shared<const int>(2));
+  cache.put<int>("a", std::make_shared<const int>(3));  // a is now most recent
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  cache.put<int>("c", std::make_shared<const int>(4));
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.contains("b"));
+  ASSERT_NE(cache.get<int>("a"), nullptr);
+  EXPECT_EQ(*cache.get<int>("a"), 3);
+  EXPECT_EQ(*cache.get<int>("c"), 4);
 }
 
 TEST(Cache, LruEvictsOldest) {
@@ -318,10 +348,13 @@ TEST_F(CoreTest, CacheOffStoreReadsReturnPutBytes) {
 TEST_F(CoreTest, StoreCachesDeserializedObjects) {
   auto store = make_store("s4");
   proc::ProcessScope scope(*producer_);
+  obs::Counter& hits =
+      obs::MetricsRegistry::global().counter("store.cache.hits");
+  const std::uint64_t hits_before = hits.value();
   const Key key = store->put(std::string("cached"));
   store->get<std::string>(key);
   store->get<std::string>(key);
-  EXPECT_EQ(store->metrics().cache_hits, 1u);
+  EXPECT_EQ(hits.value() - hits_before, 1u);
   // Cached object survives connector eviction (local materialization).
   store->connector().evict(key);
   EXPECT_EQ(store->get<std::string>(key), "cached");
@@ -352,13 +385,18 @@ TEST_F(CoreTest, StoreCloseRejectsFurtherOps) {
 TEST_F(CoreTest, StoreMetricsTrackBytes) {
   auto store = make_store("s7");
   proc::ProcessScope scope(*producer_);
+  const auto before = obs::MetricsRegistry::global().counters();
+  const auto delta = [&before](const std::string& name) {
+    const auto now = obs::MetricsRegistry::global().counters();
+    const auto it = before.find(name);
+    return now.at(name) - (it == before.end() ? 0 : it->second);
+  };
   const Key key = store->put(pattern_bytes(1000));
   store->get<Bytes>(key);
-  const auto m = store->metrics();
-  EXPECT_EQ(m.puts, 1u);
-  EXPECT_EQ(m.gets, 1u);
-  EXPECT_GE(m.bytes_put, 1000u);
-  EXPECT_GE(m.bytes_got, 1000u);
+  EXPECT_EQ(delta("store.puts"), 1u);
+  EXPECT_EQ(delta("store.gets"), 1u);
+  EXPECT_GE(delta("store.put.bytes"), 1000u);
+  EXPECT_GE(delta("store.get.bytes"), 1000u);
 }
 
 TEST_F(CoreTest, NullConnectorThrows) {

@@ -1,0 +1,117 @@
+// Allocation guards for the proxy hand-off hot path.
+//
+// A replacement global operator new counts the calling thread's heap
+// allocations. Dereferencing a resolved proxy, updating a metric through its
+// handle, probing the object cache, and opening a span while tracing is off
+// each run several times per task hand-off; none of them may touch the heap.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "common/bytes.hpp"
+#include "connectors/local.hpp"
+#include "core/cache.hpp"
+#include "core/proxy.hpp"
+#include "core/store.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "proc/world.hpp"
+
+namespace {
+
+thread_local std::uint64_t t_allocations = 0;
+
+void* counted_allocate(std::size_t n) {
+  ++t_allocations;
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_allocate(n); }
+void* operator new[](std::size_t n) { return counted_allocate(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ps {
+namespace {
+
+constexpr int kIterations = 10'000;
+
+/// Heap allocations the calling thread makes while running `fn` kIterations
+/// times.
+template <typename F>
+std::uint64_t allocations_during(F&& fn) {
+  const std::uint64_t before = t_allocations;
+  for (int i = 0; i < kIterations; ++i) fn();
+  return t_allocations - before;
+}
+
+TEST(HotPath, CountingAllocatorSeesAllocations) {
+  // The guard itself: a heap string must register.
+  EXPECT_EQ(allocations_during([] {
+              const std::string s(64, 'x');
+              (void)s;
+            }),
+            static_cast<std::uint64_t>(kIterations));
+}
+
+TEST(HotPath, ResolvedProxyDerefDoesNotAllocate) {
+  const std::unique_ptr<proc::World> world = proc::World::make_local();
+  proc::ProcessScope scope(world->spawn("hot", "localhost"));
+  auto store = std::make_shared<core::Store>(
+      "hotpath", std::make_shared<connectors::LocalConnector>());
+  core::register_store(store);
+  const Bytes payload = pattern_bytes(1024, 1);
+  const core::Proxy<Bytes> proxy = store->proxy(payload);
+  ASSERT_EQ(proxy.resolve(), payload);  // first resolve publishes the target
+  const Bytes* target = &*proxy;
+  bool stable = true;
+  EXPECT_EQ(allocations_during([&] { stable = stable && &*proxy == target; }),
+            0u);
+  EXPECT_TRUE(stable);
+  core::unregister_store("hotpath");
+}
+
+TEST(HotPath, MetricHandleUpdatesDoNotAllocate) {
+  ASSERT_EQ(obs::scoped_registry(), nullptr);  // scoping off
+  const obs::CounterHandle counter("hotpath.counter.with.a.long.name");
+  const obs::HistogramHandle histogram("hotpath.histogram.with.a.long.name");
+  const obs::GaugeHandle gauge("hotpath.gauge.with.a.long.name",
+                               obs::GaugeAgg::kMax);
+  EXPECT_EQ(allocations_during([&] { counter.get().inc(); }), 0u);
+  EXPECT_EQ(allocations_during([&] { histogram.get().observe(2e-6); }), 0u);
+  EXPECT_EQ(allocations_during([&] { gauge.get().set(3.0); }), 0u);
+  EXPECT_EQ(counter.get().value(), static_cast<std::uint64_t>(kIterations));
+  EXPECT_EQ(histogram.get().count(), static_cast<std::uint64_t>(kIterations));
+}
+
+TEST(HotPath, CacheHitDoesNotAllocate) {
+  core::ObjectCache cache(4);
+  const std::string key = "hotpath/" + std::string(48, 'k');
+  cache.put<Bytes>(key, std::make_shared<const Bytes>(pattern_bytes(64, 2)));
+  EXPECT_EQ(allocations_during([&] { (void)cache.get<Bytes>(key); }), 0u);
+  EXPECT_EQ(cache.hits(), static_cast<std::size_t>(kIterations));
+}
+
+TEST(HotPath, DisabledSpanDoesNotAllocate) {
+  ASSERT_FALSE(obs::TraceRecorder::global().enabled());
+  const std::string subject(64, 's');  // would need the heap if copied
+  EXPECT_EQ(allocations_during([&] {
+              obs::SpanScope span("hotpath.span.with.a.long.name", subject,
+                                  "a-long-critical-path-kind");
+            }),
+            0u);
+}
+
+}  // namespace
+}  // namespace ps

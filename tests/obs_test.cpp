@@ -494,6 +494,13 @@ TEST_F(ObsStoreTest, StoreMetricsSplitEvictionKinds) {
                        std::make_shared<LocalConnector>()),
       options);
 
+  const auto before = MetricsRegistry::global().counters();
+  const auto delta = [&before](const std::string& name) {
+    const auto now = MetricsRegistry::global().counters();
+    const auto it = before.find(name);
+    return now.at(name) - (it == before.end() ? 0 : it->second);
+  };
+
   // Three distinct cached objects overflow the 2-slot LRU cache.
   std::vector<Key> keys;
   for (int i = 0; i < 3; ++i) keys.push_back(store->put(i));
@@ -501,12 +508,66 @@ TEST_F(ObsStoreTest, StoreMetricsSplitEvictionKinds) {
   store->exists(keys[0]);
   store->evict(keys[0]);
 
-  const Store::Metrics m = store->metrics();
-  EXPECT_EQ(m.puts, 3u);
-  EXPECT_EQ(m.gets, 3u);
-  EXPECT_EQ(m.exists_calls, 1u);
-  EXPECT_EQ(m.evicts, 1u);           // the explicit evict() call
-  EXPECT_EQ(m.cache_evictions, 1u);  // the LRU overflow
+  EXPECT_EQ(delta("store.puts"), 3u);
+  EXPECT_EQ(delta("store.gets"), 3u);
+  EXPECT_EQ(delta("store.exists"), 1u);
+  EXPECT_EQ(delta("store.evicts"), 1u);          // the explicit evict() call
+  EXPECT_EQ(store->cache().evictions(), 1u);     // the LRU overflow
+}
+
+TEST_F(ObsStoreTest, StoreEventsFollowMetricsScoping) {
+  const std::vector<std::string> names = {"store.puts", "store.gets",
+                                          "store.cache.hits",
+                                          "store.get.bytes"};
+  const auto values = [&names](MetricsRegistry& registry) {
+    std::map<std::string, std::uint64_t> out;
+    for (const std::string& name : names) {
+      out[name] = registry.counter(name).value();
+    }
+    return out;
+  };
+  const Bytes payload = pattern_bytes(100, 7);
+  std::shared_ptr<Store> store;
+  {
+    proc::ProcessScope scope(*producer_);
+    store = std::make_shared<Store>("obs-scoped",
+                                    std::make_shared<LocalConnector>());
+  }
+  const std::uint64_t wire = store->serialize(payload).size();
+  // One put, then a get that misses and a get that hits.
+  const auto exercise = [&] {
+    const Key key = store->put(payload);
+    EXPECT_EQ(store->get<Bytes>(key), payload);
+    EXPECT_EQ(store->get<Bytes>(key), payload);
+  };
+  const std::map<std::string, std::uint64_t> expected = {
+      {"store.puts", 1}, {"store.gets", 2}, {"store.cache.hits", 1},
+      {"store.get.bytes", wire}};
+
+  MetricsRegistry& global = MetricsRegistry::global();
+  const auto global_before = values(global);
+  world_->set_metrics_scoping(true);
+  for (proc::Process* process : {producer_, consumer_}) {
+    proc::ProcessScope scope(*process);
+    exercise();
+  }
+  world_->set_metrics_scoping(false);
+  EXPECT_EQ(values(producer_->metrics()), expected);
+  EXPECT_EQ(values(consumer_->metrics()), expected);
+  EXPECT_EQ(values(global), global_before);  // nothing reached the global
+
+  // Scoping off: the same events land in the global registry.
+  {
+    proc::ProcessScope scope(*producer_);
+    exercise();
+  }
+  const auto global_after = values(global);
+  for (const std::string& name : names) {
+    EXPECT_EQ(global_after.at(name) - global_before.at(name),
+              expected.at(name))
+        << name;
+  }
+  EXPECT_EQ(values(producer_->metrics()), expected);
 }
 
 TEST_F(ObsStoreTest, ProxyLifecycleTraceHasOrderedEvents) {

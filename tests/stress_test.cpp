@@ -14,6 +14,7 @@
 #include "faas/executor.hpp"
 #include "faas/registry.hpp"
 #include "kv/server.hpp"
+#include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
 
@@ -37,6 +38,8 @@ TEST_F(StressTest, StoreConcurrentPutGetEvict) {
   proc::ProcessScope scope(*main_);
   auto store = std::make_shared<core::Store>(
       "stress-store", std::make_shared<connectors::LocalConnector>());
+  obs::Counter& puts = obs::MetricsRegistry::global().counter("store.puts");
+  const std::uint64_t puts_before = puts.value();
   constexpr int kThreads = 8;
   constexpr int kOps = 100;
   std::atomic<int> failures{0};
@@ -57,7 +60,7 @@ TEST_F(StressTest, StoreConcurrentPutGetEvict) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(store->metrics().puts, kThreads * kOps);
+  EXPECT_EQ(puts.value() - puts_before, kThreads * kOps);
 }
 
 TEST_F(StressTest, ManyThreadsShareOneProxy) {

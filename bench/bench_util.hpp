@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
@@ -33,7 +34,7 @@ struct Args {
   std::string bench_name;
   std::string trace_path;       // --trace <file>: Perfetto span export
   std::string json_path;        // --json <file>: BENCH_<name>.json artifact
-  std::uint64_t seed = ps::Stats::kDefaultSeed;  // --seed <n>
+  std::uint64_t seed = ps::Rng::kDefaultSeed;  // --seed <n>
   int reps = 0;                 // --reps <n>; 0 keeps the bench default
   std::size_t max_size = 0;     // --max-size <bytes|1MB>; 0 = uncapped
   // Load-shaping knobs shared by every harness (the load_* generators are

@@ -11,7 +11,10 @@ namespace ps {
 /// Thin wrapper over std::mt19937_64 with convenience draws.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 0x5eedULL) : engine_(seed) {}
+  /// The root seed every deterministic component defaults to.
+  static constexpr std::uint64_t kDefaultSeed = 0x5eedULL;
+
+  explicit Rng(std::uint64_t seed = kDefaultSeed) : engine_(seed) {}
 
   std::uint64_t next_u64() { return engine_(); }
 

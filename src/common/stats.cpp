@@ -7,16 +7,7 @@
 
 namespace ps {
 
-Stats::Stats(std::size_t reservoir_cap, std::uint64_t seed)
-    : reservoir_cap_(reservoir_cap), rng_(seed) {
-  if (reservoir_cap == 0) {
-    throw std::invalid_argument("Stats: reservoir capacity must be > 0");
-  }
-  samples_.reserve(reservoir_cap);
-}
-
 void Stats::add(double x) {
-  // Exact accumulators first: they never depend on what the reservoir keeps.
   if (count_ == 0) {
     min_ = max_ = x;
   } else {
@@ -29,23 +20,13 @@ void Stats::add(double x) {
   welford_mean_ += delta / static_cast<double>(count_);
   welford_m2_ += delta * (x - welford_mean_);
 
-  if (reservoir_cap_ == 0 || samples_.size() < reservoir_cap_) {
-    if (samples_.size() == samples_.capacity()) {
-      samples_.reserve(samples_.empty() ? 64 : samples_.capacity() * 2);
-    }
-    samples_.push_back(x);
-    return;
+  if (samples_.size() == samples_.capacity()) {
+    samples_.reserve(samples_.empty() ? 64 : samples_.capacity() * 2);
   }
-  // Algorithm R: the n-th observation replaces a random slot with
-  // probability cap/n, keeping every observation equally likely to survive.
-  const auto slot = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(count_) - 1));
-  if (slot < reservoir_cap_) samples_[slot] = x;
+  samples_.push_back(x);
 }
 
-void Stats::reserve(std::size_t n) {
-  samples_.reserve(reservoir_cap_ == 0 ? n : std::min(n, reservoir_cap_));
-}
+void Stats::reserve(std::size_t n) { samples_.reserve(n); }
 
 double Stats::mean() const {
   if (count_ == 0) return 0.0;

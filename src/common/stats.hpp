@@ -1,47 +1,23 @@
 // Streaming statistics accumulator used by the benchmark harnesses to report
 // mean ± stdev / median rows matching the paper's tables and error bars.
-//
-// Two modes:
-//   * unbounded (default): every sample is retained, so all statistics —
-//     including percentiles — are exact;
-//   * bounded reservoir: Stats(reservoir_cap) keeps at most reservoir_cap
-//     samples via Vitter's Algorithm R while count/sum/mean/stdev/min/max
-//     remain exact running accumulators; percentiles are estimated over the
-//     reservoir. The sampling RNG is explicitly seeded (kDefaultSeed unless
-//     overridden), so reservoir contents — and therefore reported
-//     percentiles — are identical run-to-run on the deterministic simulator.
+// Every sample is retained, so all statistics — including percentiles — are
+// exact.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace ps {
 
 class Stats {
  public:
-  /// Seed of the reservoir-sampling RNG when none is supplied; matches
-  /// ps::Rng's default so all deterministic components share one root seed.
-  static constexpr std::uint64_t kDefaultSeed = 0x5eedULL;
-
-  /// Unbounded: retains every sample, all statistics exact.
-  Stats() = default;
-
-  /// Bounded: retains at most `reservoir_cap` samples (uniformly chosen via
-  /// reservoir sampling with the given seed). `reservoir_cap` must be > 0.
-  explicit Stats(std::size_t reservoir_cap,
-                 std::uint64_t seed = kDefaultSeed);
-
   void add(double x);
 
   /// Pre-sizes the sample buffer (add() also grows it in doubling chunks,
   /// so tight accumulation loops never reallocate per sample).
   void reserve(std::size_t n);
 
-  /// Total observations (not the retained-sample count; see samples()).
   std::size_t count() const { return count_; }
   double mean() const;
   double stdev() const;  // sample standard deviation
@@ -62,16 +38,13 @@ class Stats {
   /// when samples are seconds).
   std::string mean_pm_stdev(double scale = 1.0, int precision = 1) const;
 
-  /// Retained samples: all of them in unbounded mode, the reservoir in
-  /// bounded mode (insertion order, not uniform order).
+  /// Every sample, in insertion order.
   const std::vector<double>& samples() const { return samples_; }
 
  private:
   std::vector<double> sorted() const;
 
   std::vector<double> samples_;
-  std::size_t reservoir_cap_ = 0;  // 0 => unbounded
-  Rng rng_;
   // Exact running accumulators (Welford for the variance).
   std::size_t count_ = 0;
   double sum_ = 0.0;

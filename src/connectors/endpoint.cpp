@@ -173,21 +173,6 @@ core::Future<std::optional<Bytes>> EndpointConnector::get_async(
   return inline_async<std::optional<Bytes>>([&] { return get(key); });
 }
 
-core::Future<core::Key> EndpointConnector::put_async(BytesView data) {
-  return inline_async<core::Key>([&] { return put(data); });
-}
-
-core::Future<bool> EndpointConnector::exists_async(const core::Key& key) {
-  return inline_async<bool>([&] { return exists(key); });
-}
-
-core::Future<core::Unit> EndpointConnector::evict_async(const core::Key& key) {
-  return inline_async<core::Unit>([&] {
-    evict(key);
-    return core::Unit{};
-  });
-}
-
 core::Future<std::vector<std::optional<Bytes>>>
 EndpointConnector::get_batch_async(const std::vector<core::Key>& keys) {
   return inline_async<std::vector<std::optional<Bytes>>>(

@@ -85,19 +85,6 @@ core::Future<std::optional<Bytes>> LocalConnector::get_async(
   return core::make_ready_future(get(key));
 }
 
-core::Future<core::Key> LocalConnector::put_async(BytesView data) {
-  return core::make_ready_future(put(data));
-}
-
-core::Future<bool> LocalConnector::exists_async(const core::Key& key) {
-  return core::make_ready_future(exists(key));
-}
-
-core::Future<core::Unit> LocalConnector::evict_async(const core::Key& key) {
-  evict(key);
-  return core::make_ready_future(core::Unit{});
-}
-
 bool LocalConnector::exists(const core::Key& key) {
   std::lock_guard lock(table_->mu);
   return table_->objects.contains(key.object_id);

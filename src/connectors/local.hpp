@@ -40,12 +40,9 @@ class LocalConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Native async overrides: memory operations complete inline, so these
-  // return already-ready futures with no executor round trip.
+  // Native async read: memory operations complete inline, so this returns
+  // an already-ready future with no executor round trip.
   core::Future<std::optional<Bytes>> get_async(const core::Key& key) override;
-  core::Future<core::Key> put_async(BytesView data) override;
-  core::Future<bool> exists_async(const core::Key& key) override;
-  core::Future<core::Unit> evict_async(const core::Key& key) override;
 
   const std::string& address() const { return address_; }
 

@@ -88,23 +88,6 @@ core::Future<std::optional<Bytes>> RedisConnector::get_async(
   return client_.get_async(key.object_id);
 }
 
-core::Future<core::Key> RedisConnector::put_async(BytesView data) {
-  core::Key key = reserve_key();
-  // The continuation runs at the request's completion vtime, so the minted
-  // key arrives stamped with the wire cost.
-  return client_.set_async(key.object_id, data)
-      .then([key](const core::Unit&) { return key; });
-}
-
-core::Future<bool> RedisConnector::exists_async(const core::Key& key) {
-  return client_.exists_async(key.object_id);
-}
-
-core::Future<core::Unit> RedisConnector::evict_async(const core::Key& key) {
-  return client_.del_async(key.object_id)
-      .then([](const bool&) { return core::Unit{}; });
-}
-
 core::Future<std::vector<std::optional<Bytes>>> RedisConnector::get_batch_async(
     const std::vector<core::Key>& keys) {
   std::vector<std::string> names;

@@ -54,23 +54,6 @@ Future<std::optional<Bytes>> Connector::get_async(const Key& key) {
       [this, key] { return get(key); });
 }
 
-Future<Key> Connector::put_async(BytesView data) {
-  return AsyncExecutor::shared().run<Key>(
-      [this, copy = Bytes(data)] { return put(copy); });
-}
-
-Future<bool> Connector::exists_async(const Key& key) {
-  return AsyncExecutor::shared().run<bool>(
-      [this, key] { return exists(key); });
-}
-
-Future<Unit> Connector::evict_async(const Key& key) {
-  return AsyncExecutor::shared().run<Unit>([this, key] {
-    evict(key);
-    return Unit{};
-  });
-}
-
 Future<std::vector<std::optional<Bytes>>> Connector::get_batch_async(
     const std::vector<Key>& keys) {
   return AsyncExecutor::shared().run<std::vector<std::optional<Bytes>>>(

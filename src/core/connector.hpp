@@ -134,24 +134,20 @@ class Connector {
 
   // -- asynchronous protocol ------------------------------------------------
   //
-  // Every sync operation has a futures-based twin. The defaults adapt the
-  // sync op through the shared bounded AsyncExecutor — existing connectors
-  // work unchanged — while natively non-blocking channels override them to
+  // Reads have futures-based twins: get_async serves Store::get_async and
+  // get_batch_async serves swarm chunk waves. The defaults adapt the sync op
+  // through the shared bounded AsyncExecutor — existing connectors work
+  // unchanged — while natively non-blocking channels override them to
   // pipeline without an executor hop (LocalConnector completes inline).
+  // Writes, probes and evictions are synchronous only. The sync verbs are
+  // the virtual primitives, and get_async is not derived from
+  // get_batch_async: a one-key batch is charged as a batch, not as a get.
   // Contract: the connector must outlive any future it returned; waiting a
   // future merges the operation's virtual completion time (core/future.hpp).
 
   /// Begins retrieving the object; the future completes with the value or
   /// nullopt.
   virtual Future<std::optional<Bytes>> get_async(const Key& key);
-
-  /// Begins storing `data` (copied into the background op); the future
-  /// completes with the minted key.
-  virtual Future<Key> put_async(BytesView data);
-
-  virtual Future<bool> exists_async(const Key& key);
-
-  virtual Future<Unit> evict_async(const Key& key);
 
   /// Begins retrieving many objects; the future completes with the batch,
   /// position-for-position. The default adapts get_batch through the

@@ -31,7 +31,8 @@
 
 namespace ps::core {
 
-/// Unit result for async operations with nothing to return (evict).
+/// Unit result for async operations with nothing to return (a proxy's
+/// first resolve).
 struct Unit {
   bool operator==(const Unit&) const = default;
 };

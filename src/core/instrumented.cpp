@@ -24,11 +24,9 @@ InstrumentedConnector::InstrumentedConnector(std::shared_ptr<Connector> inner)
       evict_(inner_->type(), "evict"),
       put_batch_(inner_->type(), "put_batch", /*batch=*/true),
       get_batch_(inner_->type(), "get_batch", /*batch=*/true),
-      get_async_(inner_->type(), "get_async"),
-      put_async_(inner_->type(), "put_async"),
-      exists_async_(inner_->type(), "exists_async"),
-      evict_async_(inner_->type(), "evict_async"),
+      exists_batch_(inner_->type(), "exists_batch", /*batch=*/true),
       evict_batch_(inner_->type(), "evict_batch", /*batch=*/true),
+      get_async_(inner_->type(), "get_async"),
       get_batch_async_(inner_->type(), "get_batch_async") {}
 
 std::shared_ptr<Connector> InstrumentedConnector::wrap(
@@ -81,6 +79,12 @@ bool InstrumentedConnector::exists(const Key& key) {
   return timed(exists_, [&] { return inner_->exists(key); });
 }
 
+std::vector<bool> InstrumentedConnector::exists_batch(
+    const std::vector<Key>& keys) {
+  return timed(
+      exists_batch_, [&] { return inner_->exists_batch(keys); }, keys.size());
+}
+
 void InstrumentedConnector::evict(const Key& key) {
   timed(evict_, [&] { inner_->evict(key); });
 }
@@ -111,18 +115,6 @@ Future<T> InstrumentedConnector::record_async(const Op& op, Future<T> future) {
 
 Future<std::optional<Bytes>> InstrumentedConnector::get_async(const Key& key) {
   return record_async(get_async_, inner_->get_async(key));
-}
-
-Future<Key> InstrumentedConnector::put_async(BytesView data) {
-  return record_async(put_async_, inner_->put_async(data));
-}
-
-Future<bool> InstrumentedConnector::exists_async(const Key& key) {
-  return record_async(exists_async_, inner_->exists_async(key));
-}
-
-Future<Unit> InstrumentedConnector::evict_async(const Key& key) {
-  return record_async(evict_async_, inner_->evict_async(key));
 }
 
 Future<std::vector<std::optional<Bytes>>>

@@ -1,7 +1,7 @@
 // InstrumentedConnector: metrics decorator over any Connector.
 //
-// Wraps a connector and times put/get/exists/evict/put_batch per connector
-// *type* into the process-wide MetricsRegistry — counters
+// Wraps a connector and times every data-path op per connector *type* into
+// the process-wide MetricsRegistry — counters
 // "connector.<type>.<op>" plus latency histograms ".vtime" (virtual seconds,
 // deterministic) and ".wall" (real seconds). Everything else — config,
 // traits, hints, addressed writes — passes through untouched, so a wrapped
@@ -44,6 +44,7 @@ class InstrumentedConnector : public Connector {
   std::vector<std::optional<Bytes>> get_batch(
       const std::vector<Key>& keys) override;
   bool exists(const Key& key) override;
+  std::vector<bool> exists_batch(const std::vector<Key>& keys) override;
   void evict(const Key& key) override;
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
@@ -54,9 +55,6 @@ class InstrumentedConnector : public Connector {
   // the async.executor.* histograms, where both sides of the hand-off are
   // visible.
   Future<std::optional<Bytes>> get_async(const Key& key) override;
-  Future<Key> put_async(BytesView data) override;
-  Future<bool> exists_async(const Key& key) override;
-  Future<Unit> evict_async(const Key& key) override;
   Future<std::vector<std::optional<Bytes>>> get_batch_async(
       const std::vector<Key>& keys) override;
 
@@ -92,11 +90,9 @@ class InstrumentedConnector : public Connector {
   Op evict_;
   Op put_batch_;
   Op get_batch_;
-  Op get_async_;
-  Op put_async_;
-  Op exists_async_;
-  Op evict_async_;
+  Op exists_batch_;
   Op evict_batch_;
+  Op get_async_;
   Op get_batch_async_;
 };
 

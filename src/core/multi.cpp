@@ -1,6 +1,7 @@
 #include "core/multi.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/hex.hpp"
 #include "serde/serde.hpp"
@@ -8,7 +9,48 @@
 namespace ps::core {
 
 namespace {
+
 constexpr const char* kChildField = "multi_connector";
+
+/// Splits `requests` by owning child (`owner` maps a request to its entry
+/// in `entries`) and calls `batch(entry, group)` once per child that owns
+/// any: children in entries order, each group in request order. When
+/// `batch` returns a vector, its elements are scattered back into request
+/// order.
+template <typename Request, typename Owner, typename Batch>
+auto per_child(const std::vector<MultiConnector::Entry>& entries,
+               const std::vector<Request>& requests, Owner owner,
+               Batch batch) {
+  using Entry = MultiConnector::Entry;
+  // Every owner is resolved before any child is called, so an unroutable
+  // request fails the whole call with no child touched.
+  std::vector<std::vector<std::size_t>> index(entries.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Entry& entry = owner(requests[i]);
+    index[static_cast<std::size_t>(&entry - entries.data())].push_back(i);
+  }
+  using Result = std::invoke_result_t<Batch&, const Entry&,
+                                      const std::vector<Request>&>;
+  constexpr bool kScatter = !std::is_void_v<Result>;
+  std::conditional_t<kScatter, Result, Unit> out{};
+  if constexpr (kScatter) out.resize(requests.size());
+  for (std::size_t c = 0; c < entries.size(); ++c) {
+    if (index[c].empty()) continue;
+    std::vector<Request> group;
+    group.reserve(index[c].size());
+    for (const std::size_t i : index[c]) group.push_back(requests[i]);
+    if constexpr (kScatter) {
+      Result values = batch(entries[c], group);
+      for (std::size_t j = 0; j < index[c].size(); ++j) {
+        out[index[c][j]] = std::move(values[j]);
+      }
+    } else {
+      batch(entries[c], group);
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 bool Policy::matches(std::uint64_t size, const PutHints& hints) const {
@@ -94,31 +136,16 @@ Key MultiConnector::put_hinted(BytesView data, const PutHints& hints) {
 
 std::vector<Key> MultiConnector::put_batch(const std::vector<Bytes>& items) {
   // Group items per selected child so bulk-capable children still batch.
-  std::vector<Key> keys(items.size());
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                   std::size_t b) {
-    return &select(items[a].size(), {}) < &select(items[b].size(), {});
-  });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = select(items[order[start]].size(), {});
-    std::size_t end = start;
-    std::vector<Bytes> group;
-    while (end < order.size() &&
-           &select(items[order[end]].size(), {}) == &entry) {
-      group.push_back(items[order[end]]);
-      ++end;
-    }
-    std::vector<Key> group_keys = entry.connector->put_batch(group);
-    for (std::size_t j = 0; j < group_keys.size(); ++j) {
-      group_keys[j].meta[kChildField] = entry.name;
-      keys[order[start + j]] = std::move(group_keys[j]);
-    }
-    start = end;
-  }
-  return keys;
+  return per_child(
+      entries_, items,
+      [this](const Bytes& item) -> const Entry& {
+        return select(item.size(), {});
+      },
+      [](const Entry& entry, const std::vector<Bytes>& group) {
+        std::vector<Key> keys = entry.connector->put_batch(group);
+        for (Key& key : keys) key.meta[kChildField] = entry.name;
+        return keys;
+      });
 }
 
 const MultiConnector::Entry& MultiConnector::child_for(const Key& key) const {
@@ -136,44 +163,16 @@ std::optional<Bytes> MultiConnector::get(const Key& key) {
 
 std::vector<std::optional<Bytes>> MultiConnector::get_batch(
     const std::vector<Key>& keys) {
-  // Group keys per owning child so bulk-capable children still batch
-  // (mirrors put_batch's per-child grouping on the read side).
-  std::vector<std::optional<Bytes>> out(keys.size());
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    std::vector<std::optional<Bytes>> group_out =
-        entry.connector->get_batch(group);
-    for (std::size_t j = 0; j < group_out.size(); ++j) {
-      out[order[start + j]] = std::move(group_out[j]);
-    }
-    start = end;
-  }
-  return out;
+  return per_child(
+      entries_, keys,
+      [this](const Key& key) -> const Entry& { return child_for(key); },
+      [](const Entry& entry, const std::vector<Key>& group) {
+        return entry.connector->get_batch(group);
+      });
 }
 
 Future<std::optional<Bytes>> MultiConnector::get_async(const Key& key) {
   return child_for(key).connector->get_async(key);
-}
-
-Future<bool> MultiConnector::exists_async(const Key& key) {
-  return child_for(key).connector->exists_async(key);
-}
-
-Future<Unit> MultiConnector::evict_async(const Key& key) {
-  return child_for(key).connector->evict_async(key);
 }
 
 bool MultiConnector::exists(const Key& key) {
@@ -181,30 +180,12 @@ bool MultiConnector::exists(const Key& key) {
 }
 
 std::vector<bool> MultiConnector::exists_batch(const std::vector<Key>& keys) {
-  // Same per-child grouping as get_batch, on the presence-probe side.
-  std::vector<bool> out(keys.size());
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    const std::vector<bool> group_out = entry.connector->exists_batch(group);
-    for (std::size_t j = 0; j < group_out.size(); ++j) {
-      out[order[start + j]] = group_out[j];
-    }
-    start = end;
-  }
-  return out;
+  return per_child(
+      entries_, keys,
+      [this](const Key& key) -> const Entry& { return child_for(key); },
+      [](const Entry& entry, const std::vector<Key>& group) {
+        return entry.connector->exists_batch(group);
+      });
 }
 
 void MultiConnector::evict(const Key& key) {
@@ -212,39 +193,23 @@ void MultiConnector::evict(const Key& key) {
 }
 
 void MultiConnector::evict_batch(const std::vector<Key>& keys) {
-  // Same per-child grouping as get_batch, on the cleanup side.
-  std::vector<std::size_t> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return &child_for(keys[a]) < &child_for(keys[b]);
-                   });
-  std::size_t start = 0;
-  while (start < order.size()) {
-    const Entry& entry = child_for(keys[order[start]]);
-    std::size_t end = start;
-    std::vector<Key> group;
-    while (end < order.size() && &child_for(keys[order[end]]) == &entry) {
-      group.push_back(keys[order[end]]);
-      ++end;
-    }
-    entry.connector->evict_batch(group);
-    start = end;
-  }
+  per_child(
+      entries_, keys,
+      [this](const Key& key) -> const Entry& { return child_for(key); },
+      [](const Entry& entry, const std::vector<Key>& group) {
+        entry.connector->evict_batch(group);
+      });
 }
 
 Future<std::vector<std::optional<Bytes>>> MultiConnector::get_batch_async(
     const std::vector<Key>& keys) {
   if (!keys.empty()) {
     const Entry& first = child_for(keys.front());
-    bool single_child = true;
-    for (const Key& key : keys) {
-      if (&child_for(key) != &first) {
-        single_child = false;
-        break;
-      }
+    if (std::all_of(keys.begin(), keys.end(), [&](const Key& key) {
+          return &child_for(key) == &first;
+        })) {
+      return first.connector->get_batch_async(keys);
     }
-    if (single_child) return first.connector->get_batch_async(keys);
   }
   return Connector::get_batch_async(keys);
 }

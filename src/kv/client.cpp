@@ -141,16 +141,6 @@ std::vector<bool> KvClient::del_many(const std::vector<std::string>& keys) {
   return out;
 }
 
-core::Future<core::Unit> KvClient::set_async(
-    const std::string& key, BytesView value,
-    std::optional<std::chrono::milliseconds> ttl) {
-  const net::WireSample sample = wire(value.size() + key.size(), 8);
-  server_->set(key, value, ttl, sample.arrival);
-  core::Promise<core::Unit> promise;
-  core::complete_at(promise, core::Unit{}, sample.completion);
-  return promise.future();
-}
-
 core::Future<std::optional<Bytes>> KvClient::get_async(
     const std::string& key) {
   const double probe_now = sim::vnow();
@@ -169,14 +159,6 @@ core::Future<bool> KvClient::exists_async(const std::string& key) {
   const bool present = server_->exists(key, sample.arrival);
   core::Promise<bool> promise;
   core::complete_at(promise, present, sample.completion);
-  return promise.future();
-}
-
-core::Future<bool> KvClient::del_async(const std::string& key) {
-  const net::WireSample sample = wire(key.size(), 8);
-  const bool removed = server_->del(key);
-  core::Promise<bool> promise;
-  core::complete_at(promise, removed, sample.completion);
   return promise.future();
 }
 
@@ -199,20 +181,6 @@ core::Future<std::vector<std::optional<Bytes>>> KvClient::get_many_async(
   }
   core::Promise<std::vector<std::optional<Bytes>>> promise;
   core::complete_at(promise, std::move(out), sample.completion);
-  return promise.future();
-}
-
-core::Future<core::Unit> KvClient::set_many_async(
-    const std::vector<std::pair<std::string, Bytes>>& pairs) {
-  std::size_t total = 0;
-  for (const auto& [key, value] : pairs) total += key.size() + value.size();
-  const net::WireSample sample =
-      wire(total, 8 * std::max<std::size_t>(pairs.size(), 1));
-  for (const auto& [key, value] : pairs) {
-    server_->set(key, value, std::nullopt, sample.arrival);
-  }
-  core::Promise<core::Unit> promise;
-  core::complete_at(promise, core::Unit{}, sample.completion);
   return promise.future();
 }
 

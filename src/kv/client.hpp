@@ -65,16 +65,12 @@ class KvClient {
   // Completion-driven ops: issue onto the channel, return immediately with
   // a ready future stamped at the request's pipelined completion vtime.
   // The caller's clock does not advance and no executor worker is held.
-  core::Future<core::Unit> set_async(
-      const std::string& key, BytesView value,
-      std::optional<std::chrono::milliseconds> ttl = std::nullopt);
+  // get_async and get_many_async back RedisConnector's async reads;
+  // get_async and exists_async back KvBroker's pipelined polls.
   core::Future<std::optional<Bytes>> get_async(const std::string& key);
   core::Future<bool> exists_async(const std::string& key);
-  core::Future<bool> del_async(const std::string& key);
   core::Future<std::vector<std::optional<Bytes>>> get_many_async(
       const std::vector<std::string>& keys);
-  core::Future<core::Unit> set_many_async(
-      const std::vector<std::pair<std::string, Bytes>>& pairs);
 
   const std::string& address() const { return address_; }
   KvServer& server() { return *server_; }

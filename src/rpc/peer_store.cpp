@@ -160,45 +160,4 @@ void PeerStoreClient::evict(const std::string& owner_host,
   remote_client(owner_host).call("evict", serde::to_bytes(id));
 }
 
-core::Future<std::optional<Bytes>> PeerStoreClient::get_async(
-    const std::string& owner_host, const std::string& id) {
-  if (owner_host == local_->host()) {
-    // Same cost as the sync local fast path, completed inline.
-    sim::vadvance(transport_.sw_overhead_s);
-    std::optional<Bytes> value = local_->get_local(id);
-    if (value) {
-      sim::vadvance(static_cast<double>(value->size()) / 10e9);
-    }
-    return core::make_ready_future(std::move(value));
-  }
-  return remote_client(owner_host)
-      .call_async("get", serde::to_bytes(id))
-      .then([](const Bytes& response) {
-        return serde::from_bytes<std::optional<Bytes>>(response);
-      });
-}
-
-core::Future<bool> PeerStoreClient::exists_async(const std::string& owner_host,
-                                                 const std::string& id) {
-  if (owner_host == local_->host()) {
-    return core::make_ready_future(local_->exists_local(id));
-  }
-  return remote_client(owner_host)
-      .call_async("exists", serde::to_bytes(id))
-      .then([](const Bytes& response) {
-        return serde::from_bytes<bool>(response);
-      });
-}
-
-core::Future<core::Unit> PeerStoreClient::evict_async(
-    const std::string& owner_host, const std::string& id) {
-  if (owner_host == local_->host()) {
-    local_->evict_local(id);
-    return core::make_ready_future(core::Unit{});
-  }
-  return remote_client(owner_host)
-      .call_async("evict", serde::to_bytes(id))
-      .then([](const Bytes&) { return core::Unit{}; });
-}
-
 }  // namespace ps::rpc

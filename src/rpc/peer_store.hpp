@@ -73,17 +73,6 @@ class PeerStoreClient {
   bool exists(const std::string& owner_host, const std::string& id);
   void evict(const std::string& owner_host, const std::string& id);
 
-  // Completion-driven twins: remote fetches ride RpcClient::call_async on
-  // the owning node's channel, so N outstanding peer ops pipeline and no
-  // thread is held while a request is in flight. Local fast paths complete
-  // inline at the same cost as the sync ops.
-  core::Future<std::optional<Bytes>> get_async(const std::string& owner_host,
-                                               const std::string& id);
-  core::Future<bool> exists_async(const std::string& owner_host,
-                                  const std::string& id);
-  core::Future<core::Unit> evict_async(const std::string& owner_host,
-                                       const std::string& id);
-
   const std::string& store_id() const { return store_id_; }
   const TransportProfile& transport() const { return transport_; }
 

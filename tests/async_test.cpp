@@ -445,21 +445,23 @@ TEST_F(AsyncTest, DefaultAsyncAdaptersRideTheSharedExecutor) {
   const std::optional<Bytes> got = connector.get_async(key).get();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "abc");
-  EXPECT_TRUE(connector.exists_async(key).wait());
-  connector.evict_async(key).wait();
-  EXPECT_FALSE(connector.exists(key));
 
-  const Key stored = connector.put_async(Bytes("xyz")).wait();
-  EXPECT_EQ(*connector.get_async(stored).wait(), "xyz");
+  const Key stored = connector.put(Bytes("xyz"));
+  connector.evict(key);
+  EXPECT_EQ(connector.get_async(key).get(), std::nullopt);
+  const std::vector<std::optional<Bytes>> batch =
+      connector.get_batch_async({stored, key}).get();
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0], "xyz");
+  EXPECT_EQ(batch[1], std::nullopt);
 }
 
 TEST_F(AsyncTest, LocalConnectorAsyncOpsCompleteInline) {
   proc::ProcessScope scope(*process_);
   LocalConnector connector;
-  Future<Key> put = connector.put_async(Bytes("abc"));
-  EXPECT_TRUE(put.ready());  // native override: no executor hop
-  Future<std::optional<Bytes>> get = connector.get_async(put.wait());
-  EXPECT_TRUE(get.ready());
+  const Key key = connector.put(Bytes("abc"));
+  Future<std::optional<Bytes>> get = connector.get_async(key);
+  EXPECT_TRUE(get.ready());  // native override: no executor hop
   EXPECT_EQ(*get.wait(), "abc");
 }
 

@@ -383,51 +383,5 @@ TEST(Stats, FormatsMeanPmStdev) {
   EXPECT_EQ(s.mean_pm_stdev(1000.0, 1), "2.0 ± 1.4");
 }
 
-TEST(Stats, BoundedReservoirKeepsExactMoments) {
-  Stats s(64);
-  for (int i = 1; i <= 10000; ++i) s.add(i);
-  // The reservoir is bounded...
-  EXPECT_EQ(s.samples().size(), 64u);
-  // ...but count/sum/mean/stdev/min/max come from exact running
-  // accumulators, unaffected by which samples were retained.
-  EXPECT_EQ(s.count(), 10000u);
-  EXPECT_DOUBLE_EQ(s.sum(), 50005000.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 5000.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 10000.0);
-  EXPECT_NEAR(s.stdev(), 2886.9, 0.1);
-  // Percentile estimates come from the uniform reservoir: coarse, but in
-  // the right region.
-  EXPECT_GT(s.p50(), 2000.0);
-  EXPECT_LT(s.p50(), 8000.0);
-}
-
-TEST(Stats, ReservoirSamplingIsDeterministic) {
-  // Same seed => identical reservoir contents and percentiles, run to run.
-  Stats a(32);
-  Stats b(32);
-  Stats c(32, /*seed=*/0x1234);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = static_cast<double>((i * 2654435761u) % 100000);
-    a.add(x);
-    b.add(x);
-    c.add(x);
-  }
-  EXPECT_EQ(a.samples(), b.samples());
-  EXPECT_DOUBLE_EQ(a.p50(), b.p50());
-  EXPECT_DOUBLE_EQ(a.p95(), b.p95());
-  EXPECT_DOUBLE_EQ(a.p99(), b.p99());
-  // A different seed retains a different (still uniform) subset.
-  EXPECT_NE(a.samples(), c.samples());
-  // Exact accumulators agree regardless of the seed.
-  EXPECT_DOUBLE_EQ(a.mean(), c.mean());
-  EXPECT_DOUBLE_EQ(a.stdev(), c.stdev());
-  EXPECT_EQ(a.count(), c.count());
-}
-
-TEST(Stats, ZeroReservoirCapRejected) {
-  EXPECT_THROW(Stats(0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace ps

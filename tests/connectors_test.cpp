@@ -4,8 +4,10 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -129,6 +131,59 @@ TEST_P(ConnectorLaws, PutBatchMatchesIndividualPuts) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_EQ(connector_->get(keys[i]), items[i]);
   }
+}
+
+TEST_P(ConnectorLaws, GetAsyncMatchesGet) {
+  const core::Key key = connector_->put(pattern_bytes(700, 4));
+  const core::Key ghost = connector_->put("ephemeral");
+  connector_->evict(ghost);
+  EXPECT_EQ(connector_->get_async(key).get(), connector_->get(key));
+  EXPECT_EQ(connector_->get_async(ghost).get(), std::nullopt);
+}
+
+TEST_P(ConnectorLaws, GetBatchMatchesPerKeyGet) {
+  const core::Key a = connector_->put("alpha");
+  const core::Key b = connector_->put(pattern_bytes(3000, 5));
+  const core::Key gone = connector_->put("gone");
+  connector_->evict(gone);
+  // A missing key and a repeated key, position for position.
+  const std::vector<core::Key> keys{a, gone, b, a};
+  std::vector<std::optional<Bytes>> expected;
+  for (const core::Key& key : keys) expected.push_back(connector_->get(key));
+  EXPECT_EQ(expected[0], "alpha");
+  EXPECT_EQ(expected[1], std::nullopt);
+  EXPECT_EQ(connector_->get_batch(keys), expected);
+  EXPECT_EQ(connector_->get_batch_async(keys).get(), expected);
+  EXPECT_TRUE(connector_->get_batch({}).empty());
+  EXPECT_TRUE(connector_->get_batch_async({}).get().empty());
+}
+
+TEST_P(ConnectorLaws, ExistsBatchMatchesPerKeyExists) {
+  const core::Key a = connector_->put("alpha");
+  const core::Key b = connector_->put("beta");
+  const core::Key gone = connector_->put("gone");
+  connector_->evict(gone);
+  const std::vector<core::Key> keys{a, gone, b, a};
+  std::vector<bool> expected;
+  for (const core::Key& key : keys) expected.push_back(connector_->exists(key));
+  EXPECT_EQ(expected, (std::vector<bool>{true, false, true, true}));
+  EXPECT_EQ(connector_->exists_batch(keys), expected);
+  EXPECT_TRUE(connector_->exists_batch({}).empty());
+}
+
+TEST_P(ConnectorLaws, EvictBatchRemovesExactlyTheListedKeys) {
+  const core::Key a = connector_->put("alpha");
+  const core::Key b = connector_->put("beta");
+  const core::Key c = connector_->put("gamma");
+  const core::Key gone = connector_->put("gone");
+  connector_->evict(gone);
+  // The already-missing key is ignored.
+  connector_->evict_batch({a, gone, c});
+  EXPECT_FALSE(connector_->exists(a));
+  EXPECT_FALSE(connector_->exists(c));
+  EXPECT_TRUE(connector_->exists(b));
+  EXPECT_EQ(connector_->get(b), "beta");
+  EXPECT_NO_THROW(connector_->evict_batch({}));
 }
 
 TEST_P(ConnectorLaws, ConfigReconstructsEquivalentConnector) {

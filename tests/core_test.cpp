@@ -8,12 +8,14 @@
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "connectors/local.hpp"
+#include "connectors/redis.hpp"
 #include "core/cache.hpp"
 #include "core/instrumented.hpp"
 #include "core/key.hpp"
 #include "core/multi.hpp"
 #include "core/proxy.hpp"
 #include "core/store.hpp"
+#include "kv/server.hpp"
 #include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
@@ -720,7 +722,17 @@ class BatchCountingConnector : public Connector {
     return inner_->get_batch(keys);
   }
   bool exists(const Key& key) override { return inner_->exists(key); }
+  std::vector<bool> exists_batch(const std::vector<Key>& keys) override {
+    ++exists_batch_calls;
+    exists_batch_items += keys.size();
+    return inner_->exists_batch(keys);
+  }
   void evict(const Key& key) override { inner_->evict(key); }
+  void evict_batch(const std::vector<Key>& keys) override {
+    ++evict_batch_calls;
+    evict_batch_items += keys.size();
+    inner_->evict_batch(keys);
+  }
 
   int puts = 0;
   int batch_calls = 0;
@@ -728,11 +740,26 @@ class BatchCountingConnector : public Connector {
   int gets = 0;
   int get_batch_calls = 0;
   std::size_t get_batch_items = 0;
+  int exists_batch_calls = 0;
+  std::size_t exists_batch_items = 0;
+  int evict_batch_calls = 0;
+  std::size_t evict_batch_items = 0;
 
  private:
   std::string type_;
   std::shared_ptr<LocalConnector> inner_;
 };
+
+/// Routes objects of up to 1000 bytes to `small` and the rest to `large`.
+MultiConnector counting_multi(std::shared_ptr<BatchCountingConnector> small,
+                              std::shared_ptr<BatchCountingConnector> large) {
+  Policy small_policy;
+  small_policy.max_size = 1000;
+  small_policy.priority = 1;
+  return MultiConnector(std::vector<MultiConnector::Entry>{
+      {"small", std::move(small), small_policy},
+      {"large", std::move(large), Policy{}}});
+}
 
 TEST_F(MultiTest, PutBatchPolicyRoutesPerItem) {
   auto multi = make_multi();
@@ -761,11 +788,7 @@ TEST_F(MultiTest, PutBatchForwardsGroupsAsBatches) {
   proc::ProcessScope scope(*producer_);
   auto small = std::make_shared<BatchCountingConnector>("count-small");
   auto large = std::make_shared<BatchCountingConnector>("count-large");
-  Policy small_policy;
-  small_policy.max_size = 1000;
-  small_policy.priority = 1;
-  MultiConnector multi(std::vector<MultiConnector::Entry>{
-      {"small", small, small_policy}, {"large", large, Policy{}}});
+  MultiConnector multi = counting_multi(small, large);
   const std::vector<Bytes> items = {
       pattern_bytes(10, 0), pattern_bytes(4000, 1), pattern_bytes(20, 2),
       pattern_bytes(8000, 3)};
@@ -807,11 +830,7 @@ TEST_F(MultiTest, GetBatchForwardsGroupsAsBatches) {
   proc::ProcessScope scope(*producer_);
   auto small = std::make_shared<BatchCountingConnector>("count-small");
   auto large = std::make_shared<BatchCountingConnector>("count-large");
-  Policy small_policy;
-  small_policy.max_size = 1000;
-  small_policy.priority = 1;
-  MultiConnector multi(std::vector<MultiConnector::Entry>{
-      {"small", small, small_policy}, {"large", large, Policy{}}});
+  MultiConnector multi = counting_multi(small, large);
   const std::vector<Bytes> items = {
       pattern_bytes(10, 0), pattern_bytes(4000, 1), pattern_bytes(20, 2),
       pattern_bytes(8000, 3)};
@@ -824,6 +843,63 @@ TEST_F(MultiTest, GetBatchForwardsGroupsAsBatches) {
   EXPECT_EQ(large->get_batch_items, 2u);
   EXPECT_EQ(small->gets, 0);
   EXPECT_EQ(large->gets, 0);
+}
+
+TEST_F(MultiTest, ExistsAndEvictBatchForwardGroupsAsBatches) {
+  proc::ProcessScope scope(*producer_);
+  auto small = std::make_shared<BatchCountingConnector>("count-small");
+  auto large = std::make_shared<BatchCountingConnector>("count-large");
+  MultiConnector multi = counting_multi(small, large);
+  // Keys interleave across the children: even positions small, odd large.
+  const std::vector<Key> keys = multi.put_batch(
+      {pattern_bytes(10, 0), pattern_bytes(4000, 1), pattern_bytes(20, 2),
+       pattern_bytes(8000, 3), pattern_bytes(30, 4), pattern_bytes(9000, 5)});
+  EXPECT_EQ(multi.exists_batch(keys), std::vector<bool>(keys.size(), true));
+  EXPECT_EQ(small->exists_batch_calls, 1);
+  EXPECT_EQ(small->exists_batch_items, 3u);
+  EXPECT_EQ(large->exists_batch_calls, 1);
+  EXPECT_EQ(large->exists_batch_items, 3u);
+
+  multi.evict_batch({keys[3], keys[0], keys[5]});
+  EXPECT_EQ(small->evict_batch_calls, 1);
+  EXPECT_EQ(small->evict_batch_items, 1u);
+  EXPECT_EQ(large->evict_batch_calls, 1);
+  EXPECT_EQ(large->evict_batch_items, 2u);
+  // Only the listed keys are gone.
+  const std::vector<bool> expected{false, true, true, false, true, false};
+  EXPECT_EQ(multi.exists_batch(keys), expected);
+}
+
+TEST_F(MultiTest, GetBatchAsyncReturnsValuesInRequestOrder) {
+  proc::ProcessScope scope(*producer_);
+  auto small = std::make_shared<BatchCountingConnector>("count-small");
+  auto large = std::make_shared<BatchCountingConnector>("count-large");
+  MultiConnector multi = counting_multi(small, large);
+  const std::vector<Bytes> items = {pattern_bytes(10, 0),
+                                    pattern_bytes(4000, 1),
+                                    pattern_bytes(20, 2),
+                                    pattern_bytes(8000, 3)};
+  const std::vector<Key> keys = multi.put_batch(items);
+
+  // Single child: the child's own get_batch_async serves the whole batch.
+  const auto single = multi.get_batch_async({keys[2], keys[0]}).get();
+  ASSERT_EQ(single.size(), 2u);
+  EXPECT_EQ(single[0], items[2]);
+  EXPECT_EQ(single[1], items[0]);
+  EXPECT_EQ(small->get_batch_calls, 1);
+  EXPECT_EQ(large->get_batch_calls, 0);
+
+  // Cross child: one batch per child, scattered back into request order.
+  const std::vector<Key> mixed{keys[3], keys[0], keys[1], keys[2]};
+  const auto values = multi.get_batch_async(mixed).get();
+  ASSERT_EQ(values.size(), mixed.size());
+  EXPECT_EQ(values[0], items[3]);
+  EXPECT_EQ(values[1], items[0]);
+  EXPECT_EQ(values[2], items[1]);
+  EXPECT_EQ(values[3], items[2]);
+  EXPECT_EQ(small->get_batch_calls, 2);
+  EXPECT_EQ(large->get_batch_calls, 1);
+  EXPECT_EQ(small->gets + large->gets, 0);
 }
 
 TEST(Instrumented, PutBatchRecordsBatchSizeMetricAndForwards) {
@@ -869,6 +945,38 @@ TEST(Instrumented, GetBatchRecordsBatchSizeMetricAndForwards) {
   ASSERT_NE(items_hist, nullptr);
   EXPECT_EQ(items_hist->count(), 1u);
   EXPECT_DOUBLE_EQ(items_hist->mean(), 3.0);
+}
+
+TEST(Instrumented, RedisExistsBatchIsOneRequestAndOneBatchOp) {
+  obs::set_enabled(true);
+  auto world = proc::World::make_local();
+  kv::KvServer::start(*world, "localhost", "instrumented-probe");
+  proc::ProcessScope scope(world->spawn("p", "localhost"));
+  InstrumentedConnector instrumented(
+      std::make_shared<connectors::RedisConnector>(
+          kv::kv_address("localhost", "instrumented-probe")));
+  std::vector<Key> keys;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    keys.push_back(instrumented.put(pattern_bytes(100, i)));
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Counter& requests = registry.counter("rpc.requests");
+  obs::Counter& batches = registry.counter("connector.redis.exists_batch");
+  obs::Counter& singles = registry.counter("connector.redis.exists");
+  const std::uint64_t requests_before = requests.value();
+  const std::uint64_t batches_before = batches.value();
+  const std::uint64_t singles_before = singles.value();
+
+  EXPECT_EQ(instrumented.exists_batch(keys), std::vector<bool>(8, true));
+  // Forwarded as one pipelined kv request, not unrolled through exists().
+  EXPECT_EQ(requests.value() - requests_before, 1u);
+  EXPECT_EQ(batches.value() - batches_before, 1u);
+  EXPECT_EQ(singles.value() - singles_before, 0u);
+  const obs::Histogram* items_hist =
+      registry.find_histogram("connector.redis.exists_batch.items");
+  ASSERT_NE(items_hist, nullptr);
+  EXPECT_EQ(items_hist->count(), 1u);
+  EXPECT_DOUBLE_EQ(items_hist->mean(), 8.0);
 }
 
 // ------------------------------------------------- connector registry ----

@@ -534,7 +534,8 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
 
     // Async path: batched + pipelined gets and an async proxy resolve, so
     // the async.executor.* queue/saturation metrics and the per-connector
-    // *_async / get_batch series have data.
+    // get_async / get_batch series have data (the file store's get_async
+    // rides the executor adapter).
     {
       std::vector<std::string> values(8, std::string(1024, 'a'));
       const std::vector<core::Key> keys = local->put_batch(values);
@@ -542,7 +543,7 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       local->resolve_batch<std::string>(keys);
       for (const core::Key& key : keys) local->cache().erase(key.canonical());
       local->get_async<std::string>(keys.front()).wait();
-      file->connector().exists_async(keys.front()).wait();
+      file->connector().get_async(keys.front()).wait();
       core::Proxy<std::string> warm =
           local->proxy(std::string("async-demo"));
       warm.resolve_async();

@@ -186,17 +186,9 @@ inline void print_row(const std::vector<std::string>& cells, int width = 14) {
   std::printf("\n");
 }
 
+/// obs::fmt_latency, with "-" for a negative (absent) value.
 inline std::string fmt_seconds(double s) {
-  char buf[32];
-  if (s < 0) return "-";
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
+  return s < 0 ? "-" : obs::fmt_latency(s);
 }
 
 inline std::string fmt_series(const std::string& name) {

@@ -15,6 +15,9 @@ GlobusConnector::GlobusConnector(std::vector<GlobusEndpointSpec> endpoints)
   if (endpoints_.size() < 2) {
     throw ConnectorError("GlobusConnector: needs at least two endpoints");
   }
+  for (const GlobusEndpointSpec& spec : endpoints_) {
+    host_patterns_.emplace_back(spec.host_pattern);
+  }
 }
 
 core::ConnectorConfig GlobusConnector::config() const {
@@ -37,8 +40,8 @@ core::ConnectorTraits GlobusConnector::traits() const {
 
 const GlobusEndpointSpec& GlobusConnector::local_endpoint() const {
   const std::string& host = current_host();
-  for (const GlobusEndpointSpec& spec : endpoints_) {
-    if (std::regex_search(host, std::regex(spec.host_pattern))) return spec;
+  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
+    if (std::regex_search(host, host_patterns_[i])) return endpoints_[i];
   }
   throw ConnectorError("GlobusConnector: no endpoint pattern matches host '" +
                        host + "'");

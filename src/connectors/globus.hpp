@@ -44,6 +44,9 @@ class GlobusConnector : public core::Connector {
   const GlobusEndpointSpec& local_endpoint() const;
 
   std::vector<GlobusEndpointSpec> endpoints_;
+  /// endpoints_[i].host_pattern, compiled once: building a std::regex
+  /// writes libstdc++'s shared ctype cache, which races across threads.
+  std::vector<std::regex> host_patterns_;
   std::shared_ptr<globus::TransferService> service_;
 };
 

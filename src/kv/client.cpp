@@ -8,6 +8,18 @@
 
 namespace ps::kv {
 
+namespace {
+
+/// The queue-wait gauge, bound once and never destroyed, like the registry
+/// itself: pool threads may still issue requests during exit.
+const obs::GaugeHandle& queue_wait_gauge() {
+  static const obs::GaugeHandle* gauge =
+      new obs::GaugeHandle("kv.client.queue_wait_s", obs::GaugeAgg::kMax);
+  return *gauge;
+}
+
+}  // namespace
+
 KvClient::KvClient(const std::string& address)
     : address_(address),
       server_(proc::current_process().world().services().resolve<KvServer>(
@@ -39,9 +51,7 @@ net::WireSample KvClient::wire(std::size_t request_bytes,
     // Gauge (not histogram): psctl top reads it as a point-in-time depth
     // signal; kMax makes the cross-site aggregate the worst backlog.
     if (obs::enabled()) {
-      obs::MetricsRegistry::ambient()
-          .gauge("kv.client.queue_wait_s", obs::GaugeAgg::kMax)
-          .set(std::max(0.0, done - arrival - service));
+      queue_wait_gauge().get().set(std::max(0.0, done - arrival - service));
     }
     // ...and the response travels back on the response lane.
     const double response_cost = world.fabric().transfer_time(
@@ -75,10 +85,9 @@ void KvClient::set_many(
 }
 
 std::optional<Bytes> KvClient::get(const std::string& key) {
-  // Peek the size for response cost accounting; the server lock is cheap.
-  const double probe_now = sim::vnow();
-  std::optional<Bytes> value = server_->get(key, probe_now);
-  const std::size_t response_bytes = value ? value->size() : 8;
+  // Peek the length (not the value) for response cost accounting.
+  const std::size_t response_bytes =
+      server_->value_size(key, sim::vnow()).value_or(8);
   const double arrival = round_trip(key.size(), response_bytes);
   // Re-read at the arrival time so TTL expiry is judged server-side.
   return server_->get(key, arrival);
@@ -92,8 +101,7 @@ std::vector<std::optional<Bytes>> KvClient::get_many(
   std::size_t response_bytes = 0;
   for (const std::string& key : keys) {
     request_bytes += key.size();
-    const std::optional<Bytes> value = server_->get(key, probe_now);
-    response_bytes += value ? value->size() : 8;
+    response_bytes += server_->value_size(key, probe_now).value_or(8);
   }
   const double arrival =
       round_trip(request_bytes, std::max<std::size_t>(response_bytes, 8));
@@ -143,9 +151,8 @@ std::vector<bool> KvClient::del_many(const std::vector<std::string>& keys) {
 
 core::Future<std::optional<Bytes>> KvClient::get_async(
     const std::string& key) {
-  const double probe_now = sim::vnow();
-  const std::optional<Bytes> peek = server_->get(key, probe_now);
-  const std::size_t response_bytes = peek ? peek->size() : 8;
+  const std::size_t response_bytes =
+      server_->value_size(key, sim::vnow()).value_or(8);
   const net::WireSample sample = wire(key.size(), response_bytes);
   // Re-read at the arrival time so TTL expiry is judged server-side.
   std::optional<Bytes> value = server_->get(key, sample.arrival);
@@ -169,8 +176,7 @@ core::Future<std::vector<std::optional<Bytes>>> KvClient::get_many_async(
   std::size_t response_bytes = 0;
   for (const std::string& key : keys) {
     request_bytes += key.size();
-    const std::optional<Bytes> value = server_->get(key, probe_now);
-    response_bytes += value ? value->size() : 8;
+    response_bytes += server_->value_size(key, probe_now).value_or(8);
   }
   const net::WireSample sample =
       wire(request_bytes, std::max<std::size_t>(response_bytes, 8));

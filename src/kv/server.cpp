@@ -85,27 +85,36 @@ void KvServer::set(const std::string& key, BytesView value,
   append_aof("SET", key, value);
 }
 
+const KvServer::Entry* KvServer::live_entry(const std::string& key,
+                                            double virtual_now) {
+  const auto it = data_.find(key);
+  if (it == data_.end()) return nullptr;
+  if (it->second.expires_at <= virtual_now) {
+    data_.erase(it);  // lazy expiry, as Redis does
+    return nullptr;
+  }
+  return &it->second;
+}
+
 std::optional<Bytes> KvServer::get(const std::string& key,
                                    double virtual_now) {
   std::lock_guard lock(mu_);
-  const auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  if (it->second.expires_at <= virtual_now) {
-    data_.erase(it);  // lazy expiry, as Redis does
-    return std::nullopt;
-  }
-  return it->second.value;
+  const Entry* entry = live_entry(key, virtual_now);
+  if (entry == nullptr) return std::nullopt;
+  return entry->value;
+}
+
+std::optional<std::size_t> KvServer::value_size(const std::string& key,
+                                                double virtual_now) {
+  std::lock_guard lock(mu_);
+  const Entry* entry = live_entry(key, virtual_now);
+  if (entry == nullptr) return std::nullopt;
+  return entry->value.size();
 }
 
 bool KvServer::exists(const std::string& key, double virtual_now) {
   std::lock_guard lock(mu_);
-  const auto it = data_.find(key);
-  if (it == data_.end()) return false;
-  if (it->second.expires_at <= virtual_now) {
-    data_.erase(it);
-    return false;
-  }
-  return true;
+  return live_entry(key, virtual_now) != nullptr;
 }
 
 bool KvServer::del(const std::string& key) {

@@ -54,6 +54,10 @@ class KvServer {
            std::optional<std::chrono::milliseconds> ttl = std::nullopt,
            double virtual_now = 0.0);
   std::optional<Bytes> get(const std::string& key, double virtual_now = 0.0);
+  /// The length get() would return, without copying the value: nullopt
+  /// when absent or expired (an expired entry is erased, as get() does).
+  std::optional<std::size_t> value_size(const std::string& key,
+                                        double virtual_now = 0.0);
   bool exists(const std::string& key, double virtual_now = 0.0);
   bool del(const std::string& key);
 
@@ -75,6 +79,10 @@ class KvServer {
     /// Virtual expiry time; infinity when no TTL.
     double expires_at;
   };
+
+  /// The unexpired entry for `key`, or nullptr — erasing it first when it
+  /// expired at `virtual_now` (lazy expiry, as Redis does). Needs mu_ held.
+  const Entry* live_entry(const std::string& key, double virtual_now);
 
   void append_aof(const std::string& op, const std::string& key,
                   BytesView value);

@@ -3,42 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
+
 namespace ps::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
@@ -219,8 +188,7 @@ std::string CriticalPath::json(
   std::string out = "{\"critical_paths\":[";
   bool first = true;
   for (const CriticalPathReport& r : reports) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n {\"trace_id\":\"" + r.trace_id + "\"";
     out += ",\"root\":\"";
     json_escape_into(out, r.root_name);
@@ -232,8 +200,7 @@ std::string CriticalPath::json(
     out += ",\"segments\":[";
     bool first_seg = true;
     for (const SegmentShare& s : r.segments) {
-      if (!first_seg) out += ",";
-      first_seg = false;
+      json_comma(out, first_seg);
       out += "{\"segment\":\"";
       json_escape_into(out, s.segment);
       out += "\",\"vtime_s\":" + fmt_double(s.vtime_s);

@@ -7,45 +7,14 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 // Microseconds with nanosecond resolution — the unit of trace-event ts/dur.
 std::string fmt_us(double seconds) {
@@ -56,8 +25,7 @@ std::string fmt_us(double seconds) {
 
 void append_metadata(std::string& out, bool& first, int pid, int tid,
                      const char* what, const std::string& label) {
-  if (!first) out += ",\n";
-  first = false;
+  json_comma(out, first, ",\n");
   out += "{\"ph\":\"M\",\"pid\":";
   out += std::to_string(pid);
   if (tid >= 0) {
@@ -73,8 +41,7 @@ void append_metadata(std::string& out, bool& first, int pid, int tid,
 
 void append_slice(std::string& out, bool& first, const SpanRecord& span,
                   int pid, int tid, double start_s, double end_s) {
-  if (!first) out += ",\n";
-  first = false;
+  json_comma(out, first, ",\n");
   double dur = end_s - start_s;
   if (dur < 0.0) dur = 0.0;
   out += "{\"ph\":\"X\",\"cat\":\"span\",\"name\":\"";
@@ -111,18 +78,6 @@ void append_slice(std::string& out, bool& first, const SpanRecord& span,
   out += "\"}}";
 }
 
-/// Prometheus metric name: `ps_` + name with every non-[a-zA-Z0-9_:] byte
-/// replaced by '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "ps_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string prom_label_escape(const std::string& value) {
@@ -142,6 +97,16 @@ std::string prom_label_escape(const std::string& value) {
       default:
         out += c;
     }
+  }
+  return out;
+}
+
+std::string prom_name(const std::string& name) {
+  std::string out = "ps_";
+  for (char c : name) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+              (c >= '0' && c <= '9') || c == '_' || c == ':';
+    out += ok ? c : '_';
   }
   return out;
 }
@@ -194,74 +159,88 @@ bool write_perfetto_trace(const std::string& path) {
   return static_cast<bool>(file);
 }
 
+void append_prom_histogram_family(
+    std::string& out, const std::string& name, const std::string& help_scope,
+    const std::vector<std::pair<std::string, const HistogramSnapshot*>>&
+        series) {
+  const auto& bounds = Histogram::bounds();
+  const std::string prom = prom_name(name) + "_seconds";
+  out += "# HELP " + prom + " Latency distribution of " + name +
+         " in seconds" + help_scope + ".\n";
+  out += "# TYPE " + prom + " histogram\n";
+  // Companion summary family, written after the histogram's: precomputed
+  // tail quantiles so scrapers and SLO dashboards need not reconstruct
+  // percentiles from the log-spaced buckets. A distinct family name keeps
+  // both expositions conformant (one # TYPE per family).
+  const std::string quantiles = prom_name(name) + "_quantiles_seconds";
+  std::string summary = "# HELP " + quantiles + " Latency quantiles of " +
+                        name + " in seconds" + help_scope + ".\n# TYPE " +
+                        quantiles + " summary\n";
+  for (const auto& [labels, hist] : series) {
+    // `{le="..."}` and `{quantile="..."}` follow the series labels;
+    // `_sum`/`_count` carry them alone, or no braces when there are none.
+    const std::string lead = labels.empty() ? "{" : "{" + labels + ",";
+    const std::string own = labels.empty() ? "" : "{" + labels + "}";
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < hist->buckets.size() && i < bounds.size();
+         ++i) {
+      if (hist->buckets[i] == 0) continue;
+      cumulative += hist->buckets[i];
+      out += prom + "_bucket" + lead + "le=\"" + fmt_double(bounds[i]) +
+             "\"} " + std::to_string(cumulative);
+      // A trace-linked exemplar rides after the count, OpenMetrics-style;
+      // exemplar-free buckets keep the plain exposition.
+      for (const ExemplarSnapshot& ex : hist->exemplars) {
+        if (ex.bucket != i) continue;
+        out += " # {trace_id=\"" +
+               prom_label_escape(
+                   TraceContext{ex.trace_hi, ex.trace_lo, ex.span_id, 0}
+                       .trace_id_hex()) +
+               "\",span_id=\"" + std::to_string(ex.span_id) + "\"} " +
+               fmt_double(ex.value_s) + " " + fmt_double(ex.vtime_s);
+        break;
+      }
+      out += "\n";
+    }
+    const std::string count = std::to_string(hist->count);
+    const std::string sum = fmt_double(hist->sum_s());
+    out += prom + "_bucket" + lead + "le=\"+Inf\"} " + count + "\n";
+    out += prom + "_sum" + own + " " + sum + "\n";
+    out += prom + "_count" + own + " " + count + "\n";
+    for (const double q : {0.5, 0.99, 0.999}) {
+      summary += quantiles + lead + "quantile=\"" + fmt_double(q) + "\"} " +
+                 fmt_double(hist->percentile(q * 100.0)) + "\n";
+    }
+    summary += quantiles + "_sum" + own + " " + sum + "\n";
+    summary += quantiles + "_count" + own + " " + count + "\n";
+  }
+  out += summary;
+}
+
 std::string prometheus_text(const MetricsRegistry& registry) {
+  const RegistrySnapshot snap = registry.take_snapshot(0.0);
   std::string out;
 
   // Conformance notes (also checked by tests/obs_test.cpp): every metric
   // family gets `# HELP` then `# TYPE`, counters carry the `_total` suffix,
   // and histograms expose cumulative `_bucket` counts ending in `+Inf`.
-  for (const auto& [name, value] : registry.counters()) {
+  for (const auto& [name, value] : snap.counters) {
     const std::string prom = prom_name(name) + "_total";
     out += "# HELP " + prom + " Monotonic count of " + name + " events.\n";
     out += "# TYPE " + prom + " counter\n";
     out += prom + " " + std::to_string(value) + "\n";
   }
 
-  for (const auto& [name, value] : registry.gauges()) {
+  for (const auto& [name, gauge] : snap.gauges) {
     const std::string prom = prom_name(name);
     out += "# HELP " + prom + " Instantaneous value of " + name + ".\n";
     out += "# TYPE " + prom + " gauge\n";
-    out += prom + " " + fmt_double(value) + "\n";
+    out += prom + " " + fmt_double(gauge.value) + "\n";
   }
 
-  for (const std::string& name : registry.histogram_names()) {
-    const Histogram* h = registry.find_histogram(name);
-    if (h == nullptr) continue;
-    const std::string prom = prom_name(name) + "_seconds";
-    out += "# HELP " + prom + " Latency distribution of " + name +
-           " in seconds.\n";
-    out += "# TYPE " + prom + " histogram\n";
-    // Buckets with a trace-linked exemplar get the OpenMetrics-style
-    // annotation after the cumulative count; exemplar-free buckets (and
-    // whole histograms never observed under a span) are byte-identical to
-    // the pre-exemplar exposition.
-    std::map<double, Exemplar> exemplar_by_le;
-    for (const auto& [le, ex] : h->exemplars()) exemplar_by_le[le] = ex;
-    std::uint64_t cumulative = 0;
-    for (const auto& [le, n] : h->nonzero_buckets()) {
-      cumulative += n;
-      out += prom + "_bucket{le=\"" + fmt_double(le) +
-             "\"} " + std::to_string(cumulative);
-      const auto ex = exemplar_by_le.find(le);
-      if (ex != exemplar_by_le.end()) {
-        out += " # {trace_id=\"" +
-               prom_label_escape(ex->second.trace_id_hex()) +
-               "\",span_id=\"" + std::to_string(ex->second.span_id) +
-               "\"} " + fmt_double(ex->second.value_s) + " " +
-               fmt_double(ex->second.vtime_s);
-      }
-      out += "\n";
-    }
-    out += prom + "_bucket{le=\"+Inf\"} " + std::to_string(h->count()) + "\n";
-    out += prom + "_sum " + fmt_double(h->sum()) + "\n";
-    out += prom + "_count " + std::to_string(h->count()) + "\n";
-
-    // Companion summary family: precomputed tail quantiles (p50/p99/p999)
-    // so scrapers and SLO dashboards need not reconstruct percentiles from
-    // the log-spaced buckets. A distinct family name keeps both expositions
-    // conformant (one # TYPE per family).
-    const std::string summary = prom_name(name) + "_quantiles_seconds";
-    out += "# HELP " + summary + " Latency quantiles of " + name +
-           " in seconds.\n";
-    out += "# TYPE " + summary + " summary\n";
-    for (const double q : {0.5, 0.99, 0.999}) {
-      out += summary + "{quantile=\"" + fmt_double(q) + "\"} " +
-             fmt_double(h->quantile(q)) + "\n";
-    }
-    out += summary + "_sum " + fmt_double(h->sum()) + "\n";
-    out += summary + "_count " + std::to_string(h->count()) + "\n";
+  for (const auto& [name, hist] : snap.histograms) {
+    append_prom_histogram_family(out, name, "", {{"", &hist}});
   }
-
   return out;
 }
 

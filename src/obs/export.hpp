@@ -18,12 +18,14 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ps::obs {
 
 class TraceRecorder;
 class MetricsRegistry;
+struct HistogramSnapshot;
 struct SpanRecord;
 
 /// Chrome trace-event JSON ({"displayTimeUnit":"ms","traceEvents":[...]})
@@ -42,6 +44,22 @@ bool write_perfetto_trace(const std::string& path);
 /// backslash -> \\, double-quote -> \", newline -> \n. Everything emitting
 /// `{label="value"}` pairs must route values through this.
 std::string prom_label_escape(const std::string& value);
+
+/// Prometheus metric name: `ps_` + `name` with every byte outside
+/// [a-zA-Z0-9_:] replaced by '_'.
+std::string prom_name(const std::string& name);
+
+/// Writes the histogram family `<prom_name(name)>_seconds` — HELP, TYPE,
+/// then per series its cumulative `_bucket` lines (exemplar-annotated where
+/// a bucket holds one), `+Inf`, `_sum` and `_count` — followed by its
+/// companion `_quantiles_seconds` summary family (p50/p99/p999, `_sum`,
+/// `_count`). Each series pairs a label prefix (empty, or e.g.
+/// `site="..."`, already escaped) with its snapshot; `help_scope` ends both
+/// HELP sentences (" per site" for the federated exposition).
+void append_prom_histogram_family(
+    std::string& out, const std::string& name, const std::string& help_scope,
+    const std::vector<std::pair<std::string, const HistogramSnapshot*>>&
+        series);
 
 /// Prometheus text exposition of every registered metric. Metric names are
 /// sanitized (dots -> underscores) and prefixed `ps_`; histograms are

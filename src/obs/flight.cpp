@@ -6,41 +6,11 @@
 #include <utility>
 
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/vtime.hpp"
 
 namespace ps::obs {
-
-namespace {
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::size_t approx_span_bytes(const SpanRecord& span) {
   return sizeof(SpanRecord) + span.name.size() + span.subject.size() +

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/stats.hpp"
+#include "obs/json.hpp"
 #include "sim/vtime.hpp"
 
 namespace ps::obs {
@@ -20,57 +21,6 @@ std::array<double, Histogram::kBuckets> make_bounds() {
     bounds[i] = 1e-7 * std::pow(10.0, static_cast<double>(i + 1) / 4.0);
   }
   return bounds;
-}
-
-std::uint64_t to_ns(double seconds) {
-  if (seconds <= 0.0) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
-}
-
-std::string fmt_double(double v) {
-  char buf[32];
-  // Shortest form that survives a JSON round trip for our value range.
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string fmt_latency(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -174,35 +124,40 @@ double Histogram::max() const {
   return static_cast<double>(max_ns_.load(std::memory_order_relaxed)) * 1e-9;
 }
 
-double Histogram::percentile(double p) const {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  if (n <= kReservoir) {
+double histogram_percentile(double p, std::uint64_t count,
+                            const std::vector<double>& reservoir,
+                            const std::vector<std::uint64_t>& buckets,
+                            double max_s) {
+  if (count == 0) return 0.0;
+  if (count <= Histogram::kReservoir && reservoir.size() == count) {
     // Exact path: the whole series is in the reservoir.
     Stats stats;
-    stats.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      stats.add(reservoir_[i].load(std::memory_order_relaxed));
-    }
+    stats.reserve(reservoir.size());
+    for (const double s : reservoir) stats.add(s);
     return stats.percentile(p);
   }
   // Interpolated path: walk the cumulative bucket counts.
-  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto& bounds = Histogram::bounds();
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    const std::uint64_t in_bucket =
-        buckets_[i].load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < buckets.size() && i < bounds.size(); ++i) {
+    const std::uint64_t in_bucket = buckets[i];
     if (in_bucket == 0) continue;
     if (static_cast<double>(cumulative + in_bucket) > rank) {
-      const double lower = i == 0 ? 0.0 : bounds()[i - 1];
-      const double upper = bounds()[i];
+      const double lower = i == 0 ? 0.0 : bounds[i - 1];
+      const double upper = bounds[i];
       const double frac = (rank - static_cast<double>(cumulative)) /
                           static_cast<double>(in_bucket);
       return lower + (upper - lower) * frac;
     }
     cumulative += in_bucket;
   }
-  return max();
+  return max_s;
+}
+
+double Histogram::percentile(double p) const {
+  return histogram_percentile(p, count(), reservoir_values(), bucket_counts(),
+                              max());
 }
 
 std::vector<std::pair<double, std::uint64_t>> Histogram::nonzero_buckets()
@@ -325,24 +280,6 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
   return out;
 }
 
-std::map<std::string, std::pair<double, GaugeAgg>>
-MetricsRegistry::gauges_with_agg() const {
-  std::lock_guard lock(mu_);
-  std::map<std::string, std::pair<double, GaugeAgg>> out;
-  for (const auto& [name, gauge] : gauges_) {
-    out[name] = {gauge->value(), gauge->agg()};
-  }
-  return out;
-}
-
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::lock_guard lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, hist] : histograms_) out.push_back(name);
-  return out;
-}
-
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
   std::lock_guard lock(mu_);
@@ -360,15 +297,13 @@ std::string MetricsRegistry::dump_json() const {
   std::string out = "{\"schema_version\":3,\"bucket_bounds_s\":[";
   bool first_bound = true;
   for (const double bound : Histogram::bounds()) {
-    if (!first_bound) out += ",";
-    first_bound = false;
+    json_comma(out, first_bound);
     out += fmt_double(bound);
   }
   out += "],\"counters\":{";
   bool first = true;
   for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":" + std::to_string(counter->value());
@@ -376,8 +311,7 @@ std::string MetricsRegistry::dump_json() const {
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":" + fmt_double(gauge->value());
@@ -385,8 +319,7 @@ std::string MetricsRegistry::dump_json() const {
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, hist] : histograms_) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":{\"count\":" + std::to_string(hist->count());
@@ -401,15 +334,13 @@ std::string MetricsRegistry::dump_json() const {
     out += ",\"buckets\":[";
     bool first_bucket = true;
     for (const auto& [le, n] : hist->nonzero_buckets()) {
-      if (!first_bucket) out += ",";
-      first_bucket = false;
+      json_comma(out, first_bucket);
       out += "[" + fmt_double(le) + "," + std::to_string(n) + "]";
     }
     out += "],\"exemplars\":[";
     bool first_exemplar = true;
     for (const auto& [le, ex] : hist->exemplars()) {
-      if (!first_exemplar) out += ",";
-      first_exemplar = false;
+      json_comma(out, first_exemplar);
       out += "{\"le\":" + fmt_double(le);
       out += ",\"value_s\":" + fmt_double(ex.value_s);
       out += ",\"trace_id\":\"" + ex.trace_id_hex() + "\"";
@@ -420,6 +351,18 @@ std::string MetricsRegistry::dump_json() const {
   }
   out += "}}";
   return out;
+}
+
+std::string fmt_latency(double seconds) {
+  char buf[32];
+  if (seconds < 1e-3) {
+    std::snprintf(buf, sizeof(buf), "%.1f us", seconds * 1e6);
+  } else if (seconds < 1.0) {
+    std::snprintf(buf, sizeof(buf), "%.2f ms", seconds * 1e3);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.3f s", seconds);
+  }
+  return buf;
 }
 
 std::string MetricsRegistry::dump_table() const {

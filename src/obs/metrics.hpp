@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -86,6 +87,26 @@ class Gauge {
   std::atomic<double> value_{0.0};
   std::atomic<std::uint8_t> agg_{0};
 };
+
+/// Seconds as the integer nanoseconds histogram sums accumulate in
+/// (non-positive values count as 0).
+inline std::uint64_t to_ns(double seconds) {
+  if (seconds <= 0.0) return 0;
+  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
+}
+
+/// "12.3 us", "4.56 ms" or "7.890 s": the latency column of every table.
+std::string fmt_latency(double seconds);
+
+/// The one percentile routine behind Histogram and HistogramSnapshot
+/// (obs/telemetry.hpp). p in [0, 100] over `count` samples: exact (through
+/// ps::Stats) while `reservoir` holds every sample, else interpolated
+/// linearly within the cumulative `buckets` (index-aligned with
+/// Histogram::bounds()); `max_s` when the rank runs past the last bucket.
+double histogram_percentile(double p, std::uint64_t count,
+                            const std::vector<double>& reservoir,
+                            const std::vector<std::uint64_t>& buckets,
+                            double max_s);
 
 /// One tail witness: the largest value observed in a bucket, linked to the
 /// trace it came from. Valid only when observed under an active trace
@@ -228,9 +249,6 @@ class MetricsRegistry {
   /// Snapshots for export and tests.
   std::map<std::string, std::uint64_t> counters() const;
   std::map<std::string, double> gauges() const;
-  /// Gauge values together with their aggregation hints.
-  std::map<std::string, std::pair<double, GaugeAgg>> gauges_with_agg() const;
-  std::vector<std::string> histogram_names() const;
   const Histogram* find_histogram(const std::string& name) const;
 
   /// Machine-readable export: {"schema_version": 3,

@@ -7,6 +7,8 @@
 #include <tuple>
 #include <utility>
 
+#include "obs/metrics.hpp"
+
 namespace ps::obs {
 
 namespace {
@@ -55,18 +57,6 @@ ProfileNode finish(const std::string& name, const Builder& b) {
   return node;
 }
 
-std::string fmt_time(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
-}
-
 void append_folded(std::string& out, const std::string& prefix,
                    const ProfileNode& node, bool vtime) {
   const std::string path =
@@ -89,10 +79,10 @@ void append_table(std::string& out, const ProfileNode& node, int depth) {
   if (label.size() > 44) label.resize(44);
   std::snprintf(line, sizeof(line), "%-44s %8llu %11s %11s %11s %11s\n",
                 label.c_str(), static_cast<unsigned long long>(node.count),
-                fmt_time(node.total_vtime_s).c_str(),
-                fmt_time(node.self_vtime_s).c_str(),
-                fmt_time(node.total_wall_s).c_str(),
-                fmt_time(node.self_wall_s).c_str());
+                fmt_latency(node.total_vtime_s).c_str(),
+                fmt_latency(node.self_vtime_s).c_str(),
+                fmt_latency(node.total_wall_s).c_str(),
+                fmt_latency(node.self_wall_s).c_str());
   out += line;
   for (const ProfileNode& child : node.children) {
     append_table(out, child, depth + 1);

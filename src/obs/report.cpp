@@ -1,16 +1,15 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <variant>
 
 #include "obs/critical.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
 #include "obs/trace.hpp"
@@ -19,196 +18,9 @@ namespace ps::obs {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-// ------------------------------------------------- minimal JSON reader ----
-// Just enough JSON for the artifacts this module itself writes: objects,
-// arrays, strings with simple escapes, and numbers.
-
-struct JsonValue {
-  std::variant<std::nullptr_t, double, std::string,
-               std::map<std::string, JsonValue>, std::vector<JsonValue>>
-      v = nullptr;
-
-  bool is_object() const {
-    return std::holds_alternative<std::map<std::string, JsonValue>>(v);
-  }
-  bool is_array() const {
-    return std::holds_alternative<std::vector<JsonValue>>(v);
-  }
-  bool is_number() const { return std::holds_alternative<double>(v); }
-  bool is_string() const { return std::holds_alternative<std::string>(v); }
-  const std::map<std::string, JsonValue>& obj() const {
-    return std::get<std::map<std::string, JsonValue>>(v);
-  }
-  const std::vector<JsonValue>& arr() const {
-    return std::get<std::vector<JsonValue>>(v);
-  }
-  double num() const { return std::get<double>(v); }
-  const std::string& str() const { return std::get<std::string>(v); }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  std::optional<JsonValue> parse(std::string* error) {
-    std::optional<JsonValue> value = parse_value();
-    skip_ws();
-    if (!value || pos_ != text_.size()) {
-      if (error != nullptr) {
-        *error = error_.empty() ? "trailing content after JSON value"
-                                : error_;
-      }
-      return std::nullopt;
-    }
-    return value;
-  }
-
- private:
-  void fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  bool expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-
-  std::optional<JsonValue> parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') {
-      auto s = parse_string();
-      if (!s) return std::nullopt;
-      return JsonValue{std::move(*s)};
-    }
-    return parse_number();
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!expect('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
-    }
-    if (!expect('"')) return std::nullopt;
-    return out;
-  }
-
-  std::optional<JsonValue> parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      fail("expected a JSON number");
-      return std::nullopt;
-    }
-    try {
-      return JsonValue{std::stod(text_.substr(start, pos_ - start))};
-    } catch (const std::exception&) {
-      fail("unparsable number");
-      return std::nullopt;
-    }
-  }
-
-  std::optional<JsonValue> parse_object() {
-    if (!expect('{')) return std::nullopt;
-    std::map<std::string, JsonValue> out;
-    if (peek() != '}') {
-      while (true) {
-        auto key = parse_string();
-        if (!key || !expect(':')) return std::nullopt;
-        auto value = parse_value();
-        if (!value) return std::nullopt;
-        out[std::move(*key)] = std::move(*value);
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    if (!expect('}')) return std::nullopt;
-    return JsonValue{std::move(out)};
-  }
-
-  std::optional<JsonValue> parse_array() {
-    if (!expect('[')) return std::nullopt;
-    std::vector<JsonValue> out;
-    if (peek() != ']') {
-      while (true) {
-        auto value = parse_value();
-        if (!value) return std::nullopt;
-        out.push_back(std::move(*value));
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    if (!expect(']')) return std::nullopt;
-    return JsonValue{std::move(out)};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-bool schema_error(std::string* error, const std::string& what) {
+std::nullopt_t schema_error(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
-  return false;
+  return std::nullopt;
 }
 
 double num_or(const std::map<std::string, JsonValue>& obj,
@@ -340,8 +152,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
   out += "\",\"series\":{";
   bool first = true;
   for (const auto& [name, s] : artifact.series) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n  \"";
     json_escape_into(out, name);
     out += "\":{\"count\":" + std::to_string(s.count);
@@ -367,8 +178,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
       out += ",\"segments\":[";
       bool first_seg = true;
       for (const SegmentShare& seg : a.segments) {
-        if (!first_seg) out += ",";
-        first_seg = false;
+        json_comma(out, first_seg);
         out += "{\"segment\":\"";
         json_escape_into(out, seg.segment);
         out += "\",\"vtime_s\":" + fmt_double(seg.vtime_s);
@@ -381,8 +191,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
   out += "\n },\"slos\":[";
   first = true;
   for (const SloResult& slo : artifact.slos) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n  {\"name\":\"";
     json_escape_into(out, slo.name);
     out += "\",\"metric\":\"";
@@ -400,8 +209,7 @@ std::string bench_artifact_json(const BenchArtifact& artifact) {
   out += "\n ],\"profile_top\":[";
   first = true;
   for (const ProfileEntry& entry : artifact.profile_top) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n  {\"path\":\"";
     json_escape_into(out, entry.path);
     out += "\",\"count\":" + std::to_string(entry.count);
@@ -425,17 +233,15 @@ bool write_bench_artifact(const std::string& path,
 
 std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
                                                   std::string* error) {
-  std::optional<JsonValue> root = JsonReader(text).parse(error);
+  std::optional<JsonValue> root = parse_json(text, error);
   if (!root) return std::nullopt;
   if (!root->is_object()) {
-    schema_error(error, "artifact is not a JSON object");
-    return std::nullopt;
+    return schema_error(error, "artifact is not a JSON object");
   }
   const auto& obj = root->obj();
   const auto version = obj.find("schema_version");
   if (version == obj.end() || !version->second.is_number()) {
-    schema_error(error, "missing schema_version");
-    return std::nullopt;
+    return schema_error(error, "missing schema_version");
   }
   BenchArtifact artifact;
   artifact.schema_version = static_cast<int>(version->second.num());
@@ -444,42 +250,37 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
   // newer than this build is rejected.
   if (artifact.schema_version < 1 ||
       artifact.schema_version > kBenchSchemaVersion) {
-    schema_error(error, "unsupported schema_version " +
-                            std::to_string(artifact.schema_version));
-    return std::nullopt;
+    return schema_error(error, "unsupported schema_version " +
+                                   std::to_string(artifact.schema_version));
   }
   const auto bench = obj.find("bench");
   if (bench == obj.end() || !bench->second.is_string() ||
       bench->second.str().empty()) {
-    schema_error(error, "missing bench name");
-    return std::nullopt;
+    return schema_error(error, "missing bench name");
   }
   artifact.bench = bench->second.str();
   const auto seed = obj.find("seed");
   if (seed == obj.end() || !seed->second.is_number()) {
-    schema_error(error, "missing seed");
-    return std::nullopt;
+    return schema_error(error, "missing seed");
   }
   artifact.seed = static_cast<std::uint64_t>(seed->second.num());
   artifact.git_rev = str_or(obj, "git_rev", "unknown");
 
   const auto series = obj.find("series");
   if (series == obj.end() || !series->second.is_object()) {
-    schema_error(error, "missing series object");
-    return std::nullopt;
+    return schema_error(error, "missing series object");
   }
   for (const auto& [name, value] : series->second.obj()) {
     if (!value.is_object()) {
-      schema_error(error, "series '" + name + "' is not an object");
-      return std::nullopt;
+      return schema_error(error, "series '" + name + "' is not an object");
     }
     const auto& s = value.obj();
     const auto count = s.find("count");
     const auto mean = s.find("mean_s");
     if (count == s.end() || !count->second.is_number() || mean == s.end() ||
         !mean->second.is_number()) {
-      schema_error(error, "series '" + name + "' missing count/mean_s");
-      return std::nullopt;
+      return schema_error(error,
+                          "series '" + name + "' missing count/mean_s");
     }
     SeriesStats stats;
     stats.count = static_cast<std::uint64_t>(count->second.num());
@@ -495,18 +296,16 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
     stats.units = str_or(s, "units", "s");
     stats.kind = str_or(s, "kind", "vtime");
     if (stats.kind != "vtime" && stats.kind != "wall") {
-      schema_error(error, "series '" + name + "' has unknown kind '" +
-                              stats.kind + "'");
-      return std::nullopt;
+      return schema_error(error, "series '" + name + "' has unknown kind '" +
+                                     stats.kind + "'");
     }
     // Optional (v3) attribution: validated when present, never required —
     // v1/v2 artifacts and exemplar-free v3 series simply lack it.
     const auto attribution = s.find("attribution");
     if (attribution != s.end()) {
       if (!attribution->second.is_object()) {
-        schema_error(error,
-                     "series '" + name + "' attribution is not an object");
-        return std::nullopt;
+        return schema_error(
+            error, "series '" + name + "' attribution is not an object");
       }
       const auto& a = attribution->second.obj();
       SeriesAttribution attr;
@@ -517,24 +316,22 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
       const auto segments = a.find("segments");
       if (attr.trace_id.size() != 32 || segments == a.end() ||
           !segments->second.is_array() || segments->second.arr().empty()) {
-        schema_error(error, "series '" + name +
-                                "' attribution needs a 32-hex trace_id and "
-                                "a non-empty segments array");
-        return std::nullopt;
+        return schema_error(error, "series '" + name +
+                                       "' attribution needs a 32-hex "
+                                       "trace_id and a non-empty segments "
+                                       "array");
       }
       for (const JsonValue& value : segments->second.arr()) {
         if (!value.is_object()) {
-          schema_error(error,
-                       "series '" + name + "' has a non-object segment");
-          return std::nullopt;
+          return schema_error(
+              error, "series '" + name + "' has a non-object segment");
         }
         const auto& seg = value.obj();
         SegmentShare share;
         share.segment = str_or(seg, "segment", "");
         if (share.segment.empty()) {
-          schema_error(error,
-                       "series '" + name + "' has a segment without a name");
-          return std::nullopt;
+          return schema_error(
+              error, "series '" + name + "' has a segment without a name");
         }
         share.vtime_s = num_or(seg, "vtime_s", 0.0);
         share.spans = static_cast<std::uint64_t>(num_or(seg, "spans", 0.0));
@@ -548,14 +345,12 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
   const auto slos = obj.find("slos");
   if (artifact.schema_version >= 2 &&
       (slos == obj.end() || !slos->second.is_array())) {
-    schema_error(error, "missing slos array");
-    return std::nullopt;
+    return schema_error(error, "missing slos array");
   }
   if (slos != obj.end() && slos->second.is_array()) {
     for (const JsonValue& value : slos->second.arr()) {
       if (!value.is_object()) {
-        schema_error(error, "slos entry is not an object");
-        return std::nullopt;
+        return schema_error(error, "slos entry is not an object");
       }
       const auto& s = value.obj();
       SloResult result;
@@ -564,14 +359,13 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
       result.percentile = str_or(s, "percentile", "");
       result.status = str_or(s, "status", "");
       if (result.name.empty() || result.metric.empty()) {
-        schema_error(error, "slos entry missing name/metric");
-        return std::nullopt;
+        return schema_error(error, "slos entry missing name/metric");
       }
       if (result.status != "pass" && result.status != "breach" &&
           result.status != "insufficient_data") {
-        schema_error(error, "slo '" + result.name + "' has unknown status '" +
-                                result.status + "'");
-        return std::nullopt;
+        return schema_error(error, "slo '" + result.name +
+                                       "' has unknown status '" +
+                                       result.status + "'");
       }
       result.threshold_s = num_or(s, "threshold_s", 0.0);
       result.min_samples =
@@ -584,20 +378,17 @@ std::optional<BenchArtifact> parse_bench_artifact(const std::string& text,
 
   const auto profile = obj.find("profile_top");
   if (profile == obj.end() || !profile->second.is_array()) {
-    schema_error(error, "missing profile_top array");
-    return std::nullopt;
+    return schema_error(error, "missing profile_top array");
   }
   for (const JsonValue& value : profile->second.arr()) {
     if (!value.is_object()) {
-      schema_error(error, "profile_top entry is not an object");
-      return std::nullopt;
+      return schema_error(error, "profile_top entry is not an object");
     }
     const auto& p = value.obj();
     ProfileEntry entry;
     entry.path = str_or(p, "path", "");
     if (entry.path.empty()) {
-      schema_error(error, "profile_top entry missing path");
-      return std::nullopt;
+      return schema_error(error, "profile_top entry missing path");
     }
     entry.count = static_cast<std::uint64_t>(num_or(p, "count", 0.0));
     entry.total_vtime_s = num_or(p, "total_vtime_s", 0.0);

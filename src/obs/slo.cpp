@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 
@@ -12,57 +13,12 @@ namespace ps::obs {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 double percentile_rank(const std::string& percentile) {
   if (percentile == "p50") return 50.0;
   if (percentile == "p99") return 99.0;
   if (percentile == "p999") return 99.9;
   throw Error("SloRegistry: unknown percentile '" + percentile +
               "' (expected p50, p99, or p999)");
-}
-
-std::string fmt_latency(double s) {
-  char buf[32];
-  if (s < 1e-3) {
-    std::snprintf(buf, sizeof(buf), "%.1f us", s * 1e6);
-  } else if (s < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f ms", s * 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.3f s", s);
-  }
-  return buf;
 }
 
 }  // namespace
@@ -125,8 +81,7 @@ std::string slo_report_json(const SloReport& report) {
   std::string out = "{\"slos\":[";
   bool first = true;
   for (const SloVerdict& v : report.verdicts) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n {\"name\":\"";
     json_escape_into(out, v.objective.name);
     out += "\",\"metric\":\"";

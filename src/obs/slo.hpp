@@ -30,8 +30,8 @@ namespace ps::obs {
 class MetricsRegistry;
 class TelemetryWindows;
 
-/// The quantiles an objective may bound. percentile_value() maps them onto
-/// Histogram::quantile().
+/// The quantiles an objective may bound, evaluated through
+/// Histogram::percentile() (HistogramSnapshot's for burn-rate windows).
 inline constexpr const char* kSloPercentiles[] = {"p50", "p99", "p999"};
 
 struct SloObjective {

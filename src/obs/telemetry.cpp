@@ -1,64 +1,13 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
-#include "common/stats.hpp"
 #include "obs/export.hpp"
+#include "obs/json.hpp"
 
 namespace ps::obs {
 
 namespace {
-
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Prometheus metric name, mirroring the rule in obs/export.cpp.
-std::string prom_name(const std::string& name) {
-  std::string out = "ps_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-              (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::uint64_t to_ns(double seconds) {
-  if (seconds <= 0.0) return 0;
-  return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
-}
 
 /// cur - prev clamped at zero; counts the clamp.
 std::uint64_t clamped_sub(std::uint64_t cur, std::uint64_t prev,
@@ -117,32 +66,7 @@ HistogramSnapshot histogram_snapshot_delta(const HistogramSnapshot& prev,
 }  // namespace
 
 double HistogramSnapshot::percentile(double p) const {
-  if (count == 0) return 0.0;
-  if (count <= Histogram::kReservoir && reservoir.size() == count) {
-    // Exact path: the whole series is in the reservoir (the same rule
-    // Histogram::percentile applies when the series fits).
-    Stats stats;
-    stats.reserve(reservoir.size());
-    for (const double s : reservoir) stats.add(s);
-    return stats.percentile(p);
-  }
-  const auto& bounds = Histogram::bounds();
-  const double rank =
-      p / 100.0 * static_cast<double>(count - 1);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size() && i < bounds.size(); ++i) {
-    const std::uint64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) > rank) {
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
-      const double frac = (rank - static_cast<double>(cumulative)) /
-                          static_cast<double>(in_bucket);
-      return lower + (upper - lower) * frac;
-    }
-    cumulative += in_bucket;
-  }
-  return max_s();
+  return histogram_percentile(p, count, reservoir, buckets, max_s());
 }
 
 void HistogramSnapshot::merge(const HistogramSnapshot& other) {
@@ -314,23 +238,6 @@ RegistrySnapshot TelemetryWindows::merged_all() const {
   return merge_registry_snapshots(deltas);
 }
 
-double TelemetryWindows::rate(const std::string& counter,
-                              double span_s) const {
-  if (windows_.empty()) return 0.0;
-  const double now = windows_.back().end_vtime_s;
-  double start = now;
-  std::uint64_t events = 0;
-  for (const Window& window : windows_) {
-    if (window.end_vtime_s <= now - span_s - 1e-9) continue;
-    start = std::min(start, window.start_vtime_s);
-    const auto it = window.delta.counters.find(counter);
-    if (it != window.delta.counters.end()) events += it->second;
-  }
-  const double covered = now - start;
-  if (covered <= 0.0) return 0.0;
-  return static_cast<double>(events) / covered;
-}
-
 // ---------------------------------------------------------- federation ----
 
 namespace {
@@ -340,8 +247,7 @@ void append_registry_json(std::string& out, const RegistrySnapshot& snap) {
   out += ",\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":" + std::to_string(value);
@@ -349,8 +255,7 @@ void append_registry_json(std::string& out, const RegistrySnapshot& snap) {
   out += "},\"gauges\":{";
   first = true;
   for (const auto& [name, gauge] : snap.gauges) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":{\"value\":" + fmt_double(gauge.value);
@@ -359,8 +264,7 @@ void append_registry_json(std::string& out, const RegistrySnapshot& snap) {
   out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, hist] : snap.histograms) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\"";
     json_escape_into(out, name);
     out += "\":{\"count\":" + std::to_string(hist.count);
@@ -383,8 +287,7 @@ std::string federated_metrics_json(
   bool first = true;
   std::vector<RegistrySnapshot> all;
   for (const auto& [site, snap] : by_site) {
-    if (!first) out += ",";
-    first = false;
+    json_comma(out, first);
     out += "\n \"";
     json_escape_into(out, site);
     out += "\":";
@@ -405,13 +308,18 @@ std::string federated_prometheus_text(
   // site) keeps the exposition conformant — a family must not repeat.
   std::map<std::string, bool> counter_names;
   std::map<std::string, GaugeAgg> gauge_names;
-  std::map<std::string, bool> histogram_names;
+  std::map<std::string,
+           std::vector<std::pair<std::string, const HistogramSnapshot*>>>
+      histograms;  // name -> (site label, snapshot) in site order
   for (const auto& [site, snap] : by_site) {
     for (const auto& [name, value] : snap.counters) counter_names[name];
     for (const auto& [name, gauge] : snap.gauges) {
       gauge_names[name] = gauge.agg_hint();
     }
-    for (const auto& [name, hist] : snap.histograms) histogram_names[name];
+    for (const auto& [name, hist] : snap.histograms) {
+      histograms[name].emplace_back(
+          "site=\"" + prom_label_escape(site) + "\"", &hist);
+    }
   }
 
   for (const auto& [name, unused] : counter_names) {
@@ -451,69 +359,8 @@ std::string federated_prometheus_text(
     }
   }
 
-  const auto& bounds = Histogram::bounds();
-  for (const auto& [name, unused] : histogram_names) {
-    const std::string prom = prom_name(name) + "_seconds";
-    out += "# HELP " + prom + " Latency distribution of " + name +
-           " in seconds per site.\n";
-    out += "# TYPE " + prom + " histogram\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.histograms.find(name);
-      if (it == snap.histograms.end()) continue;
-      const HistogramSnapshot& hist = it->second;
-      const std::string site_label = "site=\"" + prom_label_escape(site) +
-                                     "\"";
-      std::map<std::uint32_t, const ExemplarSnapshot*> exemplar_by_bucket;
-      for (const ExemplarSnapshot& ex : hist.exemplars) {
-        exemplar_by_bucket[ex.bucket] = &ex;
-      }
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0;
-           i < hist.buckets.size() && i < bounds.size(); ++i) {
-        if (hist.buckets[i] == 0) continue;
-        cumulative += hist.buckets[i];
-        out += prom + "_bucket{" + site_label + ",le=\"" +
-               fmt_double(bounds[i]) + "\"} " + std::to_string(cumulative);
-        const auto ex = exemplar_by_bucket.find(
-            static_cast<std::uint32_t>(i));
-        if (ex != exemplar_by_bucket.end()) {
-          const ExemplarSnapshot& witness = *ex->second;
-          out += " # {trace_id=\"" +
-                 prom_label_escape(
-                     TraceContext{witness.trace_hi, witness.trace_lo,
-                                  witness.span_id, 0}
-                         .trace_id_hex()) +
-                 "\",span_id=\"" + std::to_string(witness.span_id) + "\"} " +
-                 fmt_double(witness.value_s) + " " +
-                 fmt_double(witness.vtime_s);
-        }
-        out += "\n";
-      }
-      out += prom + "_bucket{" + site_label + ",le=\"+Inf\"} " +
-             std::to_string(hist.count) + "\n";
-      out += prom + "_sum{" + site_label + "} " + fmt_double(hist.sum_s()) +
-             "\n";
-      out += prom + "_count{" + site_label + "} " +
-             std::to_string(hist.count) + "\n";
-    }
-    const std::string summary = prom_name(name) + "_quantiles_seconds";
-    out += "# HELP " + summary + " Latency quantiles of " + name +
-           " in seconds per site.\n";
-    out += "# TYPE " + summary + " summary\n";
-    for (const auto& [site, snap] : by_site) {
-      const auto it = snap.histograms.find(name);
-      if (it == snap.histograms.end()) continue;
-      const std::string site_label = "site=\"" + prom_label_escape(site) +
-                                     "\"";
-      for (const double q : {0.5, 0.99, 0.999}) {
-        out += summary + "{" + site_label + ",quantile=\"" + fmt_double(q) +
-               "\"} " + fmt_double(it->second.percentile(q * 100.0)) + "\n";
-      }
-      out += summary + "_sum{" + site_label + "} " +
-             fmt_double(it->second.sum_s()) + "\n";
-      out += summary + "_count{" + site_label + "} " +
-             std::to_string(it->second.count) + "\n";
-    }
+  for (const auto& [name, series] : histograms) {
+    append_prom_histogram_family(out, name, " per site", series);
   }
 
   out += "# EOF\n";

@@ -62,8 +62,8 @@ struct ExemplarSnapshot {
 
 /// Value copy of one Histogram: the full bucket array (index-aligned with
 /// Histogram::bounds()), the raw-sample reservoir prefix, and the integer
-/// sum/min/max the atomics maintain. percentile() reproduces
-/// Histogram::percentile() exactly — Stats-exact while the reservoir holds
+/// sum/min/max the atomics maintain. percentile() is Histogram's own
+/// routine (histogram_percentile) — Stats-exact while the reservoir holds
 /// the whole series, bucket-interpolated beyond it.
 struct HistogramSnapshot {
   std::uint64_t count = 0;
@@ -92,7 +92,7 @@ struct HistogramSnapshot {
   }
   double max_s() const { return static_cast<double>(max_ns) * 1e-9; }
 
-  /// p in [0, 100]; mirrors Histogram::percentile() bit for bit.
+  /// p in [0, 100]; the same routine as Histogram::percentile().
   double percentile(double p) const;
   double p50() const { return percentile(50.0); }
   double p99() const { return percentile(99.0); }
@@ -184,9 +184,6 @@ class TelemetryWindows {
   void feed(const RegistrySnapshot& cumulative);
 
   const std::deque<Window>& windows() const { return windows_; }
-  /// The most recently fed cumulative snapshot.
-  const RegistrySnapshot& cumulative() const { return cumulative_; }
-  bool seeded() const { return seeded_; }
 
   /// Clamp events observed across all feeds (monotonicity violations —
   /// racing scrapes or registry resets).
@@ -200,10 +197,6 @@ class TelemetryWindows {
   /// Merges all retained windows (== the whole run while nothing has been
   /// evicted from the ring).
   RegistrySnapshot merged_all() const;
-
-  /// Counter increments per virtual second over the trailing `span_s`
-  /// (0 when the counter or the windows are absent).
-  double rate(const std::string& counter, double span_s) const;
 
  private:
   std::size_t capacity_;

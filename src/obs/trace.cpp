@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/flight.hpp"
@@ -86,11 +85,6 @@ std::vector<TraceEvent> TraceRecorder::timeline(
   return out;
 }
 
-std::vector<TraceEvent> TraceRecorder::events() const {
-  std::lock_guard lock(mu_);
-  return {events_.begin(), events_.end()};
-}
-
 std::vector<SpanRecord> TraceRecorder::spans() const {
   std::lock_guard lock(mu_);
   return {spans_.begin(), spans_.end()};
@@ -140,33 +134,6 @@ double TraceRecorder::wall_now() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        origin_)
       .count();
-}
-
-std::string TraceRecorder::dump_json() const {
-  std::lock_guard lock(mu_);
-  std::string out = "[";
-  bool first = true;
-  char buf[64];
-  for (const TraceEvent& e : events_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"subject\":\"" + e.subject + "\",\"event\":\"" + e.name + "\"";
-    std::snprintf(buf, sizeof(buf), ",\"wall_s\":%.9f,\"vtime_s\":%.9f}",
-                  e.wall_s, e.vtime_s);
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-Span::Span(std::string subject, std::string name)
-    : subject_(std::move(subject)), name_(std::move(name)) {
-  active_ = TraceRecorder::global().enabled();
-  if (active_) TraceRecorder::global().record(subject_, name_ + ".start");
-}
-
-Span::~Span() {
-  if (active_) TraceRecorder::global().record(subject_, name_ + ".done");
 }
 
 }  // namespace ps::obs

@@ -92,7 +92,6 @@ class TraceRecorder {
   /// All events for one subject, in record order.
   std::vector<TraceEvent> timeline(const std::string& subject) const;
 
-  std::vector<TraceEvent> events() const;
   std::vector<SpanRecord> spans() const;
   std::size_t size() const;
   std::size_t span_count() const;
@@ -115,9 +114,6 @@ class TraceRecorder {
   /// are expressed in).
   double wall_now() const;
 
-  /// [{"subject": ..., "event": ..., "wall_s": ..., "vtime_s": ...}, ...]
-  std::string dump_json() const;
-
  private:
   void note_dropped_events(std::size_t n);
   void note_dropped_spans(std::size_t n);
@@ -131,21 +127,6 @@ class TraceRecorder {
   std::atomic<std::uint64_t> dropped_spans_{0};
   std::chrono::steady_clock::time_point origin_ =
       std::chrono::steady_clock::now();
-};
-
-/// RAII trace span: records "<name>.start" on construction and "<name>.done"
-/// on destruction. Cheap no-op while tracing is disabled.
-class Span {
- public:
-  Span(std::string subject, std::string name);
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
- private:
-  std::string subject_;
-  std::string name_;
-  bool active_ = false;
 };
 
 }  // namespace ps::obs

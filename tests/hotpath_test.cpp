@@ -1,15 +1,18 @@
-// Allocation guards for the proxy hand-off hot path.
+// Allocation guards for the proxy hand-off and kv request hot paths.
 //
 // A replacement global operator new counts the calling thread's heap
-// allocations. Dereferencing a resolved proxy, updating a metric through its
-// handle, probing the object cache, and opening a span while tracing is off
-// each run several times per task hand-off; none of them may touch the heap.
+// allocations and bytes. Dereferencing a resolved proxy, updating a metric
+// through its handle, probing the object cache, and opening a span while
+// tracing is off each run several times per task hand-off; none of them may
+// touch the heap. A kv read copies its value once, and instrumentation adds
+// no allocation to a kv request.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -17,6 +20,8 @@
 #include "core/cache.hpp"
 #include "core/proxy.hpp"
 #include "core/store.hpp"
+#include "kv/client.hpp"
+#include "kv/server.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,9 +30,11 @@
 namespace {
 
 thread_local std::uint64_t t_allocations = 0;
+thread_local std::uint64_t t_allocated_bytes = 0;
 
 void* counted_allocate(std::size_t n) {
   ++t_allocations;
+  t_allocated_bytes += n;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -111,6 +118,50 @@ TEST(HotPath, DisabledSpanDoesNotAllocate) {
                                   "a-long-critical-path-kind");
             }),
             0u);
+}
+
+/// A KvServer bound at "redis://localhost/hot" and a client process.
+class KvHotPath : public ::testing::Test {
+ protected:
+  KvHotPath()
+      : world_(proc::World::make_local()),
+        scope_(world_->spawn("kv-hot", "localhost")),
+        server_(kv::KvServer::start(*world_, "localhost", "hot")),
+        client_(kv::kv_address("localhost", "hot")) {}
+
+  std::unique_ptr<proc::World> world_;
+  proc::ProcessScope scope_;
+  std::shared_ptr<kv::KvServer> server_;
+  kv::KvClient client_;
+};
+
+TEST_F(KvHotPath, GetCopiesTheValueOnce) {
+  const Bytes value = pattern_bytes(1 << 20, 3);
+  client_.set("big", value);
+  ASSERT_EQ(client_.get("big"), value);  // warms the channel and handles
+  const std::uint64_t before = t_allocated_bytes;
+  const std::optional<Bytes> got = client_.get("big");
+  const std::uint64_t allocated = t_allocated_bytes - before;
+  ASSERT_EQ(got, value);
+  // One 1 MiB copy for the reply; sizing the response must not copy.
+  EXPECT_LT(allocated, (3u << 20) / 2);
+}
+
+TEST_F(KvHotPath, InstrumentationAddsNoAllocationToARequest) {
+  client_.set("k", pattern_bytes(16, 4));
+  ASSERT_TRUE(client_.exists("k"));  // warms the channel and handles
+  // The channel's in-flight deque allocates one block per 64 requests, so
+  // whole multiples of 64 requests see the same count in both runs.
+  const auto allocations_per_6400_exists = [&] {
+    const std::uint64_t before = t_allocations;
+    for (int i = 0; i < 6400; ++i) (void)client_.exists("k");
+    return t_allocations - before;
+  };
+  obs::set_enabled(false);
+  const std::uint64_t off = allocations_per_6400_exists();
+  obs::set_enabled(true);
+  const std::uint64_t on = allocations_per_6400_exists();
+  EXPECT_EQ(on, off);
 }
 
 }  // namespace

@@ -35,10 +35,12 @@
 #include "obs/critical.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
 #include "obs/slo.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
 #include "proc/world.hpp"
@@ -55,122 +57,13 @@ using core::Proxy;
 using core::Store;
 using connectors::LocalConnector;
 
-// ------------------------------------------------- minimal JSON reader ----
-// Just enough JSON to round-trip dump_json() output in tests: objects,
-// arrays, strings (registry names never need full escape handling), and
-// numbers.
-
-struct JsonValue {
-  std::variant<std::nullptr_t, double, std::string,
-               std::map<std::string, JsonValue>, std::vector<JsonValue>>
-      v = nullptr;
-
-  const JsonValue& at(const std::string& key) const {
-    return std::get<std::map<std::string, JsonValue>>(v).at(key);
-  }
-  bool has(const std::string& key) const {
-    return std::get<std::map<std::string, JsonValue>>(v).contains(key);
-  }
-  double num() const { return std::get<double>(v); }
-  const std::vector<JsonValue>& arr() const {
-    return std::get<std::vector<JsonValue>>(v);
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    EXPECT_EQ(pos_, text_.size()) << "trailing JSON content";
-    return value;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    EXPECT_LT(pos_, text_.size()) << "unexpected end of JSON";
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  void expect(char c) {
-    EXPECT_EQ(peek(), c);
-    ++pos_;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    return parse_number();
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
-    }
-    expect('"');
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    EXPECT_GT(pos_, start) << "expected a JSON number";
-    return JsonValue{std::stod(text_.substr(start, pos_ - start))};
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    std::map<std::string, JsonValue> out;
-    if (peek() != '}') {
-      while (true) {
-        std::string key = parse_string();
-        expect(':');
-        out[std::move(key)] = parse_value();
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    expect('}');
-    return JsonValue{std::move(out)};
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    std::vector<JsonValue> out;
-    if (peek() != ']') {
-      while (true) {
-        out.push_back(parse_value());
-        if (peek() != ',') break;
-        ++pos_;
-      }
-    }
-    expect(']');
-    return JsonValue{std::move(out)};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+/// Parses an export with the obs JSON reader, failing the test on error.
+JsonValue parse(const std::string& text) {
+  std::string error;
+  std::optional<JsonValue> value = parse_json(text, &error);
+  EXPECT_TRUE(value.has_value()) << error;
+  return value ? *value : JsonValue{};
+}
 
 // ----------------------------------------------------------- histogram ----
 
@@ -340,7 +233,7 @@ TEST(Registry, JsonExportRoundTrips) {
   h.observe(3e-3);
 
   const std::string text = registry.dump_json();
-  JsonValue root = JsonReader(text).parse();
+  JsonValue root = parse(text);
 
   EXPECT_EQ(root.at("counters").at("json.requests").num(), 42.0);
   EXPECT_DOUBLE_EQ(root.at("gauges").at("json.depth").num(), 2.5);
@@ -402,9 +295,8 @@ TEST(Trace, RecordsDualTimestampsInOrder) {
   sim::vadvance(0.125);
   recorder.record("subj", "first");
   sim::vadvance(0.5);
-  {
-    Span span("subj", "work");
-  }
+  recorder.record("subj", "work.start");
+  recorder.record("subj", "work.done");
   recorder.set_enabled(false);
   recorder.record("subj", "dropped");  // disabled: must not record
 
@@ -628,7 +520,7 @@ TEST(TraceCapacity, OldestEventsDropWhenFull) {
   for (int i = 0; i < 10; ++i) {
     recorder.record("cap", "event-" + std::to_string(i));
   }
-  const auto events = recorder.events();
+  const auto events = recorder.timeline("cap");
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().name, "event-6");
   EXPECT_EQ(events.back().name, "event-9");
@@ -865,33 +757,33 @@ TEST(PerfettoExport, EmittedFileParsesAsChromeTraceEvents) {
 
   // Re-parse the emitted file: it must load as a Chrome trace-event JSON
   // object, the format ui.perfetto.dev and chrome://tracing open natively.
-  JsonValue root = JsonReader(text).parse();
-  EXPECT_EQ(std::get<std::string>(root.at("displayTimeUnit").v), "ms");
+  JsonValue root = parse(text);
+  EXPECT_EQ(root.at("displayTimeUnit").str(), "ms");
   const std::vector<JsonValue>& events = root.at("traceEvents").arr();
   std::size_t metadata = 0;
   std::size_t slices = 0;
   std::set<std::string> slice_names;
   std::set<double> pids;
   for (const JsonValue& event : events) {
-    const std::string ph = std::get<std::string>(event.at("ph").v);
+    const std::string ph = event.at("ph").str();
     ASSERT_TRUE(ph == "M" || ph == "X") << "unexpected phase " << ph;
-    EXPECT_TRUE(event.has("pid"));
-    EXPECT_TRUE(event.has("name"));
+    EXPECT_TRUE(event.obj().contains("pid"));
+    EXPECT_TRUE(event.obj().contains("name"));
     if (ph == "M") {
       ++metadata;
       continue;
     }
     ++slices;
     pids.insert(event.at("pid").num());
-    slice_names.insert(std::get<std::string>(event.at("name").v));
+    slice_names.insert(event.at("name").str());
     EXPECT_GE(event.at("ts").num(), 0.0);
     EXPECT_GE(event.at("dur").num(), 0.0);
     const JsonValue& args = event.at("args");
-    EXPECT_EQ(std::get<std::string>(args.at("trace_id").v).size(), 32u);
+    EXPECT_EQ(args.at("trace_id").str().size(), 32u);
     EXPECT_GT(args.at("span_id").num(), 0.0);
-    EXPECT_TRUE(args.has("parent_span_id"));
-    EXPECT_TRUE(args.has("process"));
-    EXPECT_TRUE(args.has("site"));
+    EXPECT_TRUE(args.obj().contains("parent_span_id"));
+    EXPECT_TRUE(args.obj().contains("process"));
+    EXPECT_TRUE(args.obj().contains("site"));
   }
   // Each span is emitted twice — a virtual-time slice and a wall-clock
   // slice — on distinct Perfetto "process" tracks.
@@ -907,9 +799,9 @@ TEST(PerfettoExport, EmittedFileParsesAsChromeTraceEvents) {
   double outer_vdur = 0.0;
   double inner_vdur = 0.0;
   for (const JsonValue& event : events) {
-    if (std::get<std::string>(event.at("ph").v) != "X") continue;
+    if (event.at("ph").str() != "X") continue;
     if (event.at("pid").num() >= 1000) continue;  // wall-clock track
-    const std::string name = std::get<std::string>(event.at("name").v);
+    const std::string name = event.at("name").str();
     if (name == "export.outer") outer_vdur = event.at("dur").num();
     if (name == "export.inner") inner_vdur = event.at("dur").num();
   }
@@ -1553,9 +1445,9 @@ TEST(HistogramQuantiles, P999AndQuantileTrackPercentileAndExportInJson) {
   EXPECT_NEAR(h.p999(), 0.999, 2e-3);
   EXPECT_GE(h.p999(), h.percentile(99.0));
 
-  const JsonValue root = JsonReader(registry.dump_json()).parse();
+  const JsonValue root = parse(registry.dump_json());
   const JsonValue& hist = root.at("histograms").at("quant.lat");
-  ASSERT_TRUE(hist.has("p999_s"));
+  ASSERT_TRUE(hist.obj().contains("p999_s"));
   EXPECT_NEAR(hist.at("p999_s").num(), h.p999(), 1e-9);
   EXPECT_GE(hist.at("p999_s").num(), hist.at("p99_s").num());
 }
@@ -1621,11 +1513,11 @@ TEST(Slo, EvaluateProducesPassBreachAndInsufficientVerdicts) {
   EXPECT_NE(table.find("breach"), std::string::npos);
   EXPECT_NE(table.find("insufficient"), std::string::npos);
 
-  const JsonValue root = JsonReader(slo_report_json(report)).parse();
+  const JsonValue root = parse(slo_report_json(report));
   EXPECT_EQ(root.at("breaches").num(), 1.0);
   EXPECT_EQ(root.at("passed").num(), 0.0);
   ASSERT_EQ(root.at("slos").arr().size(), 4u);
-  EXPECT_EQ(std::get<std::string>(root.at("slos").arr()[1].at("status").v),
+  EXPECT_EQ(root.at("slos").arr()[1].at("status").str(),
             "breach");
 }
 
@@ -1691,19 +1583,19 @@ TEST(HistogramExemplars, DumpJsonSchemaV3CarriesExemplars) {
     ContextScope scope(new_root_context());
     h.observe(2e-3);
   }
-  const JsonValue root = JsonReader(registry.dump_json()).parse();
+  const JsonValue root = parse(registry.dump_json());
   EXPECT_EQ(root.at("schema_version").num(), 3.0);
   const JsonValue& hist = root.at("histograms").at("ex.lat");
-  ASSERT_TRUE(hist.has("exemplars"));
+  ASSERT_TRUE(hist.obj().contains("exemplars"));
   ASSERT_EQ(hist.at("exemplars").arr().size(), 1u);
   const JsonValue& ex = hist.at("exemplars").arr()[0];
   EXPECT_NEAR(ex.at("value_s").num(), 2e-3, 1e-12);
-  EXPECT_EQ(std::get<std::string>(ex.at("trace_id").v).size(), 32u);
+  EXPECT_EQ(ex.at("trace_id").str().size(), 32u);
   EXPECT_GT(ex.at("span_id").num(), 0.0);
 
   // An exemplar-free histogram still emits the (empty) array.
   registry.histogram("ex.bare").observe(1e-3);
-  const JsonValue root2 = JsonReader(registry.dump_json()).parse();
+  const JsonValue root2 = parse(registry.dump_json());
   EXPECT_TRUE(root2.at("histograms").at("ex.bare").at("exemplars")
                   .arr().empty());
 }
@@ -1842,7 +1734,7 @@ TEST(CriticalPath, SegmentsSumExactlyToRootWindow) {
   // table() and json() render every segment.
   const std::string table = CriticalPath::table(cp.reports());
   EXPECT_NE(table.find("wire-transfer"), std::string::npos);
-  const JsonValue parsed = JsonReader(CriticalPath::json(cp.top(5))).parse();
+  const JsonValue parsed = parse(CriticalPath::json(cp.top(5)));
   ASSERT_EQ(parsed.at("critical_paths").arr().size(), 1u);
   EXPECT_DOUBLE_EQ(
       parsed.at("critical_paths").arr()[0].at("attributed_s").num(), 10.0);
@@ -1934,13 +1826,13 @@ TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
   // "flight" header, and it must re-parse.
   const FlightRecorder::Snapshot snap = flight.latest_or_live();
   const std::string dump = FlightRecorder::dump_json(snap);
-  const JsonValue root = JsonReader(dump).parse();
-  EXPECT_EQ(std::get<std::string>(root.at("flight").at("reason").v),
+  const JsonValue root = parse(dump);
+  EXPECT_EQ(root.at("flight").at("reason").str(),
             "snap-5");
   EXPECT_EQ(root.at("flight").at("span_count").num(), 1.0);
   bool saw_complete_event = false;
   for (const JsonValue& event : root.at("traceEvents").arr()) {
-    if (std::get<std::string>(event.at("ph").v) == "X") {
+    if (event.at("ph").str() == "X") {
       saw_complete_event = true;
     }
   }
@@ -2037,6 +1929,142 @@ TEST(TraceRecorder, TraceCapEnvOverridesDefaultCapacity) {
   const TraceRecorder junk;
   EXPECT_EQ(junk.capacity(), TraceRecorder::kDefaultCapacity);
   ::unsetenv("PROXYSTORE_TRACE_CAP");
+}
+
+// ------------------------------------------------------ JSON escaping -----
+// Names with a quote, a backslash, a newline, a tab and a 0x01 byte must
+// come back byte for byte from every JSON export.
+
+const std::string kHostileName = "tab\there\nnl \"q\" back\\slash \x01";
+
+TEST(JsonEscaping, BenchArtifactNamesRoundTripExactly) {
+  const std::string& n = kHostileName;
+  BenchArtifact artifact;
+  artifact.bench = n;
+  artifact.git_rev = n;
+  SeriesStats stats;
+  stats.count = 1;
+  stats.units = n;
+  SeriesAttribution attribution;
+  attribution.trace_id = std::string(32, 'a');
+  attribution.segments = {{n, 1.0, 1}};
+  stats.attribution = attribution;
+  artifact.series.emplace(n, stats);
+  SloResult slo;
+  slo.name = n;
+  slo.metric = n;
+  slo.percentile = n;
+  slo.status = "pass";
+  artifact.slos.push_back(slo);
+  ProfileEntry entry;
+  entry.path = n;
+  artifact.profile_top.push_back(entry);
+
+  std::string error;
+  const auto parsed =
+      parse_bench_artifact(bench_artifact_json(artifact), &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->bench, n);
+  EXPECT_EQ(parsed->git_rev, n);
+  ASSERT_EQ(parsed->series.size(), 1u);
+  EXPECT_EQ(parsed->series.begin()->first, n);
+  EXPECT_EQ(parsed->series.begin()->second.units, n);
+  ASSERT_TRUE(parsed->series.begin()->second.attribution.has_value());
+  EXPECT_EQ(parsed->series.begin()->second.attribution->segments.at(0).segment,
+            n);
+  ASSERT_EQ(parsed->slos.size(), 1u);
+  EXPECT_EQ(parsed->slos[0].name, n);
+  EXPECT_EQ(parsed->slos[0].metric, n);
+  EXPECT_EQ(parsed->slos[0].percentile, n);
+  ASSERT_EQ(parsed->profile_top.size(), 1u);
+  EXPECT_EQ(parsed->profile_top[0].path, n);
+}
+
+TEST(JsonEscaping, HostileNamesRoundTripThroughEveryExport) {
+  const std::string& n = kHostileName;
+  MetricsRegistry registry;
+  registry.counter(n).inc(3);
+  registry.gauge(n).set(1.5);
+  registry.histogram(n).observe(1e-3);
+  const JsonValue metrics = parse(registry.dump_json());
+  EXPECT_EQ(metrics.at("counters").at(n).num(), 3.0);
+  EXPECT_EQ(metrics.at("gauges").at(n).num(), 1.5);
+  EXPECT_EQ(metrics.at("histograms").at(n).at("count").num(), 1.0);
+
+  const JsonValue federated =
+      parse(federated_metrics_json({{n, registry.take_snapshot(1.0)}}));
+  EXPECT_EQ(federated.at("sites").at(n).at("counters").at(n).num(), 3.0);
+  EXPECT_EQ(federated.at("aggregate").at("histograms").at(n).at("count").num(),
+            1.0);
+
+  SloReport report;
+  report.verdicts.emplace_back();
+  report.verdicts[0].objective = SloObjective{n, n, "p99", 1.0, 1};
+  const JsonValue slo = parse(slo_report_json(report)).at("slos").arr().at(0);
+  EXPECT_EQ(slo.at("name").str(), n);
+  EXPECT_EQ(slo.at("metric").str(), n);
+
+  SpanRecord span;
+  span.ctx = TraceContext{1, 2, 3, 0};
+  span.name = span.kind = span.subject = n;
+  span.process = span.host = span.site = n;
+  span.vtime_end = span.wall_end = 1.0;
+  const JsonValue path =
+      parse(CriticalPath::json(CriticalPath::from_spans({span}).reports()))
+          .at("critical_paths")
+          .arr()
+          .at(0);
+  EXPECT_EQ(path.at("root").str(), n);
+  EXPECT_EQ(path.at("segments").arr().at(0).at("segment").str(), n);
+
+  const JsonValue flight = parse(
+      FlightRecorder::dump_json(FlightRecorder::Snapshot{n, 0, 0, {span}}));
+  EXPECT_EQ(flight.at("flight").at("reason").str(), n);
+  for (const JsonValue& trace : {parse(perfetto_trace_json({span})), flight}) {
+    std::set<std::string> track_names;
+    std::size_t slices = 0;
+    for (const JsonValue& event : trace.at("traceEvents").arr()) {
+      if (event.at("ph").str() == "M") {
+        track_names.insert(event.at("args").at("name").str());
+        continue;
+      }
+      ++slices;
+      EXPECT_EQ(event.at("name").str(), n);
+      for (const char* field : {"kind", "subject", "process", "host", "site"}) {
+        EXPECT_EQ(event.at("args").at(field).str(), n) << field;
+      }
+    }
+    EXPECT_EQ(slices, 2u);  // virtual-time and wall-clock tracks
+    EXPECT_TRUE(track_names.contains(n));  // the thread (process) name
+    EXPECT_TRUE(track_names.contains(n + " [vtime]"));
+  }
+}
+
+TEST(JsonReader, DecodesEveryEscapeAndRejectsMalformedOnesAtTheirOffset) {
+  const JsonValue decoded =
+      parse(R"(["\"\\\/\b\f\n\r\t", "\u0001\u00e9\u20ac\ud83d\ude00"])");
+  EXPECT_EQ(decoded.arr().at(0).str(), "\"\\/\b\f\n\r\t");
+  // To UTF-8, the surrogate pair as one 4-byte sequence.
+  EXPECT_EQ(decoded.arr().at(1).str(),
+            "\x01\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+
+  const std::pair<std::string, std::size_t> malformed[] = {
+      {R"(["ok", "bad \x"])", 12},  // unknown escape letter
+      {R"("\u12")", 1},             // too few hex digits
+      {R"("\ud83d")", 1},           // high surrogate without its low half
+      {R"("\ude00")", 1},           // low surrogate on its own
+  };
+  for (const auto& [text, offset] : malformed) {
+    std::string error;
+    EXPECT_FALSE(parse_json(text, &error).has_value()) << text;
+    EXPECT_EQ(error,
+              "malformed string escape at offset " + std::to_string(offset))
+        << text;
+  }
+  // Artifacts read from disk report the same offset.
+  std::string error;
+  EXPECT_FALSE(parse_bench_artifact(R"({"bench":"x\q"})", &error));
+  EXPECT_EQ(error, "malformed string escape at offset 11");
 }
 
 // ------------------------------------------------- concurrent exports ------

@@ -5,13 +5,15 @@
 #      concurrency-sensitive tests (`ctest -L tier2`);
 #   2a. asan-ubsan: ASan+UBSan build (-DPS_SANITIZE=address,undefined, UB
 #      fatal, libstdc++ assertions on) running hash_test, parallel_test,
-#      swarm_test, core_test, async_test and connectors_test — the SHA-NI
-#      intrinsics, the shared parallel-loop helpers behind manifest
-#      hashing, the checks on manifests read back from backends, the Store
-#      read paths, the lifetimes behind the lock-free proxy fast path,
-#      cache entries destroyed after unlocking and shared connector
-#      payloads, and every connector's vtable and batch and async laws
-#      (five of them through the shared executor's worker threads);
+#      swarm_test, core_test, async_test, connectors_test, obs_test and
+#      telemetry_test — the SHA-NI intrinsics, the shared parallel-loop
+#      helpers behind manifest hashing, the checks on manifests read back
+#      from backends, the Store read paths, the lifetimes behind the
+#      lock-free proxy fast path, cache entries destroyed after unlocking
+#      and shared connector payloads, every connector's vtable and batch
+#      and async laws (five of them through the shared executor's worker
+#      threads), and the obs JSON reader, which parses bench artifacts
+#      from disk, with the exporters and snapshot merges it reads back;
 #   2b. perfbench-selftest: the repo benchmark's self-test
 #      (`perfbench/run.py --selftest`) — every op's bytes are checked on
 #      all three workloads, a wrong expected fingerprint must be counted,
@@ -78,9 +80,9 @@ else
 fi
 
 echo "==> asan-ubsan: ASan + UBSan on hash, parallel, swarm, core, async," \
-  "connectors"
+  "connectors, obs, telemetry"
 ASAN_TESTS=(hash_test parallel_test swarm_test core_test async_test
-  connectors_test)
+  connectors_test obs_test telemetry_test)
 cmake -B build-asan -S . -DPS_SANITIZE=address,undefined \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
   >/dev/null

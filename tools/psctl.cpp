@@ -112,6 +112,7 @@
 #include "obs/critical.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/report.hpp"
@@ -966,10 +967,10 @@ int cmd_stream_stats(testbed::Testbed& tb, bool json) {
       const std::uint64_t lag =
           stats.delivered > stats.consumed ? stats.delivered - stats.consumed
                                            : 0;
-      if (!first) out += ",";
-      first = false;
-      out += "\n \"" + topic + "\":{\"published\":" +
-             std::to_string(stats.published) +
+      obs::json_comma(out, first);
+      out += "\n \"";
+      obs::json_escape_into(out, topic);
+      out += "\":{\"published\":" + std::to_string(stats.published) +
              ",\"delivered\":" + std::to_string(stats.delivered) +
              ",\"consumed\":" + std::to_string(stats.consumed) +
              ",\"dispatched\":" + std::to_string(stats.dispatched) +
@@ -1072,19 +1073,20 @@ int cmd_swarm_stats(testbed::Testbed& tb, bool json) {
     std::string out = "{\"schema_version\":1,\"sources\":{";
     bool sfirst = true;
     for (const auto& [source, stats] : per_source) {
-      if (!sfirst) out += ",";
-      sfirst = false;
-      out += "\n \"" + source + "\":{\"chunks\":" +
-             std::to_string(stats.chunks) +
+      obs::json_comma(out, sfirst);
+      out += "\n \"";
+      obs::json_escape_into(out, source);
+      out += "\":{\"chunks\":" + std::to_string(stats.chunks) +
              ",\"bytes\":" + std::to_string(stats.bytes) +
              ",\"timeouts\":" + std::to_string(stats.timeouts) + "}";
     }
     out += "\n},\"summary\":{";
     bool cfirst = true;
     for (const auto& [name, value_] : summary) {
-      if (!cfirst) out += ",";
-      cfirst = false;
-      out += "\n \"" + name + "\":" + std::to_string(value_);
+      obs::json_comma(out, cfirst);
+      out += "\n \"";
+      obs::json_escape_into(out, name);
+      out += "\":" + std::to_string(value_);
     }
     out += "\n}}\n";
     std::printf("%s", out.c_str());

@@ -41,7 +41,7 @@
 
 namespace ps::core {
 
-/// Trace subject naming a (store, key) pair; every lifecycle event of a
+/// Trace subject naming a (store, key) pair; every lifecycle span of a
 /// proxy over that object records under this subject.
 inline std::string trace_subject(const std::string& store_name,
                                  const Key& key) {
@@ -164,30 +164,27 @@ class Store : public std::enable_shared_from_this<Store> {
 
   /// Retrieves and deserializes the object, consulting the cache first.
   /// Returns nullopt when the object does not exist. With tracing enabled,
-  /// emits the get-side lifecycle events (connector.get -> deserialize ->
-  /// cache.insert, or cache.hit) under the (store, key) trace subject.
+  /// the cache probe and the deserialization are spans under the (store,
+  /// key) trace subject.
   template <typename T>
   std::optional<T> get(const Key& key) {
     check_open();
     const detail::StoreInstruments& m = detail::store_instruments();
     m.gets.get().inc();
     obs::Timer timer(&m.get_vtime.get(), &m.get_wall.get());
-    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-    const bool tracing = tracer.enabled();
-    const std::string subject =
-        tracing ? trace_subject(name_, key) : std::string{};
+    const std::string subject = obs::TraceRecorder::global().enabled()
+                                    ? trace_subject(name_, key)
+                                    : std::string{};
     const std::string cache_key = key.canonical();
     {
       obs::SpanScope probe("store.cache.probe", subject, "cache-probe");
       if (auto cached = cache_.get<T>(cache_key)) {
         m.cache_hits.get().inc();
-        if (tracing) tracer.record(subject, "cache.hit");
         return *cached;
       }
     }
     m.cache_misses.get().inc();
     std::optional<Bytes> data = connector_->get(key);
-    if (tracing) tracer.record(subject, "connector.get");
     if (!data) return std::nullopt;
     m.get_bytes.get().inc(data->size());
     std::optional<T> value;
@@ -195,9 +192,7 @@ class Store : public std::enable_shared_from_this<Store> {
       obs::SpanScope serde("store.deserialize", subject, "serde");
       value.emplace(deserialize_value<T>(*data));
     }
-    if (tracing) tracer.record(subject, "deserialize");
     cache_fill(cache_key, *value);
-    if (tracing) tracer.record(subject, "cache.insert");
     return value;
   }
 
@@ -459,12 +454,10 @@ class Store : public std::enable_shared_from_this<Store> {
   Proxy<T> proxy_from_key(const Key& key, bool evict = false) {
     check_open();
     detail::store_instruments().proxies.get().inc();
-    obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-    const bool tracing = tracer.enabled();
-    const std::string subject =
-        tracing ? trace_subject(name_, key) : std::string{};
+    const std::string subject = obs::TraceRecorder::global().enabled()
+                                    ? trace_subject(name_, key)
+                                    : std::string{};
     obs::SpanScope span("store.proxy", subject);
-    if (tracing) tracer.record(subject, "proxy.created");
     FactoryDescriptor descriptor{name_, key, connector_->config(), evict};
     descriptor.trace = span.context();
     return Proxy<T>(make_descriptor_factory<T>(std::move(descriptor)));
@@ -664,17 +657,15 @@ T resolve_descriptor(const FactoryDescriptor& descriptor) {
   const StoreInstruments& m = store_instruments();
   m.resolves.get().inc();
   obs::Timer timer(&m.resolve_vtime.get(), &m.resolve_wall.get());
-  obs::TraceRecorder& tracer = obs::TraceRecorder::global();
-  const bool tracing = tracer.enabled();
   const std::string subject =
-      tracing ? trace_subject(descriptor.store_name, descriptor.key)
-              : std::string{};
+      obs::TraceRecorder::global().enabled()
+          ? trace_subject(descriptor.store_name, descriptor.key)
+          : std::string{};
   // The descriptor carries the creating hop's context: adopt it so the
   // resolve span parents to the proxy-creation span even when this code
   // runs in a different simulated process/site.
   obs::ContextScope adopt(descriptor.trace);
   obs::SpanScope span("proxy.resolve", subject);
-  if (tracing) tracer.record(subject, "resolve.start");
   std::shared_ptr<Store> store = get_or_register_store(descriptor);
   std::optional<T> value = store->get<T>(descriptor.key);
   // Data-flow proxies poll until the producer writes the object.
@@ -696,7 +687,6 @@ T resolve_descriptor(const FactoryDescriptor& descriptor) {
                          descriptor.key.canonical()) == 0) {
     store->evict(descriptor.key);
   }
-  if (tracing) tracer.record(subject, "resolve.done");
   return std::move(*value);
 }
 
@@ -726,23 +716,11 @@ struct Codec<ps::core::Proxy<T>> {
       throw SerializationError(
           "Proxy: only store-backed proxies are serializable");
     }
-    auto& tracer = ps::obs::TraceRecorder::global();
-    if (tracer.enabled()) {
-      tracer.record(
-          ps::core::trace_subject(descriptor->store_name, descriptor->key),
-          "factory.serialized");
-    }
     serde::encode(w, *descriptor);
   }
 
   static ps::core::Proxy<T> decode(Reader& r) {
     auto descriptor = serde::decode<ps::core::FactoryDescriptor>(r);
-    auto& tracer = ps::obs::TraceRecorder::global();
-    if (tracer.enabled()) {
-      tracer.record(
-          ps::core::trace_subject(descriptor.store_name, descriptor.key),
-          "factory.deserialized");
-    }
     return ps::core::Proxy<T>(
         ps::core::make_descriptor_factory<T>(std::move(descriptor)));
   }

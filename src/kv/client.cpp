@@ -161,14 +161,6 @@ core::Future<std::optional<Bytes>> KvClient::get_async(
   return promise.future();
 }
 
-core::Future<bool> KvClient::exists_async(const std::string& key) {
-  const net::WireSample sample = wire(key.size(), 8);
-  const bool present = server_->exists(key, sample.arrival);
-  core::Promise<bool> promise;
-  core::complete_at(promise, present, sample.completion);
-  return promise.future();
-}
-
 core::Future<std::vector<std::optional<Bytes>>> KvClient::get_many_async(
     const std::vector<std::string>& keys) {
   const double probe_now = sim::vnow();

@@ -78,27 +78,33 @@ void append_slice(std::string& out, bool& first, const SpanRecord& span,
   out += "\"}}";
 }
 
-}  // namespace
-
-std::string prom_label_escape(const std::string& value) {
+// The text exposition format escapes backslash and newline everywhere, and
+// the double quote only inside label values.
+std::string prom_escape(const std::string& text, bool quote) {
   std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
+  out.reserve(text.size());
+  for (const char c : text) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '"' && quote) {
+      out += "\\\"";
+    } else {
+      out += c;
     }
   }
   return out;
+}
+
+}  // namespace
+
+std::string prom_label_escape(const std::string& value) {
+  return prom_escape(value, /*quote=*/true);
+}
+
+std::string prom_help_escape(const std::string& text) {
+  return prom_escape(text, /*quote=*/false);
 }
 
 std::string prom_name(const std::string& name) {
@@ -165,8 +171,8 @@ void append_prom_histogram_family(
         series) {
   const auto& bounds = Histogram::bounds();
   const std::string prom = prom_name(name) + "_seconds";
-  out += "# HELP " + prom + " Latency distribution of " + name +
-         " in seconds" + help_scope + ".\n";
+  out += "# HELP " + prom + " Latency distribution of " +
+         prom_help_escape(name) + " in seconds" + help_scope + ".\n";
   out += "# TYPE " + prom + " histogram\n";
   // Companion summary family, written after the histogram's: precomputed
   // tail quantiles so scrapers and SLO dashboards need not reconstruct
@@ -174,8 +180,8 @@ void append_prom_histogram_family(
   // both expositions conformant (one # TYPE per family).
   const std::string quantiles = prom_name(name) + "_quantiles_seconds";
   std::string summary = "# HELP " + quantiles + " Latency quantiles of " +
-                        name + " in seconds" + help_scope + ".\n# TYPE " +
-                        quantiles + " summary\n";
+                        prom_help_escape(name) + " in seconds" + help_scope +
+                        ".\n# TYPE " + quantiles + " summary\n";
   for (const auto& [labels, hist] : series) {
     // `{le="..."}` and `{quantile="..."}` follow the series labels;
     // `_sum`/`_count` carry them alone, or no braces when there are none.
@@ -190,14 +196,11 @@ void append_prom_histogram_family(
              "\"} " + std::to_string(cumulative);
       // A trace-linked exemplar rides after the count, OpenMetrics-style;
       // exemplar-free buckets keep the plain exposition.
-      for (const ExemplarSnapshot& ex : hist->exemplars) {
+      for (const Exemplar& ex : hist->exemplars) {
         if (ex.bucket != i) continue;
-        out += " # {trace_id=\"" +
-               prom_label_escape(
-                   TraceContext{ex.trace_hi, ex.trace_lo, ex.span_id, 0}
-                       .trace_id_hex()) +
-               "\",span_id=\"" + std::to_string(ex.span_id) + "\"} " +
-               fmt_double(ex.value_s) + " " + fmt_double(ex.vtime_s);
+        out += " # {trace_id=\"" + ex.trace_id_hex() + "\",span_id=\"" +
+               std::to_string(ex.span_id) + "\"} " + fmt_double(ex.value_s) +
+               " " + fmt_double(ex.vtime_s);
         break;
       }
       out += "\n";
@@ -226,14 +229,16 @@ std::string prometheus_text(const MetricsRegistry& registry) {
   // and histograms expose cumulative `_bucket` counts ending in `+Inf`.
   for (const auto& [name, value] : snap.counters) {
     const std::string prom = prom_name(name) + "_total";
-    out += "# HELP " + prom + " Monotonic count of " + name + " events.\n";
+    out += "# HELP " + prom + " Monotonic count of " + prom_help_escape(name) +
+           " events.\n";
     out += "# TYPE " + prom + " counter\n";
     out += prom + " " + std::to_string(value) + "\n";
   }
 
   for (const auto& [name, gauge] : snap.gauges) {
     const std::string prom = prom_name(name);
-    out += "# HELP " + prom + " Instantaneous value of " + name + ".\n";
+    out += "# HELP " + prom + " Instantaneous value of " +
+           prom_help_escape(name) + ".\n";
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " " + fmt_double(gauge.value) + "\n";
   }

@@ -45,6 +45,11 @@ bool write_perfetto_trace(const std::string& path);
 /// `{label="value"}` pairs must route values through this.
 std::string prom_label_escape(const std::string& value);
 
+/// Prometheus `# HELP` text escaping per the text exposition format:
+/// backslash -> \\, newline -> \n. Every HELP line routes the metric name
+/// it quotes through this, so a hostile name cannot split the line.
+std::string prom_help_escape(const std::string& text);
+
 /// Prometheus metric name: `ps_` + `name` with every byte outside
 /// [a-zA-Z0-9_:] replaced by '_'.
 std::string prom_name(const std::string& name);

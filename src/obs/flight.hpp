@@ -1,30 +1,23 @@
-// Always-on flight recorder: the last N bytes of span history, snapshotted
-// on anomaly.
+// Flight recorder: frozen copies of the trace ring, taken on anomaly.
 //
-// The TraceRecorder is an opt-in debugging buffer — large, cleared between
-// runs, and often disabled. The FlightRecorder is the opposite: a small
-// byte-budgeted ring of the most recent SpanRecords that is always fed
-// while tracing is on, cheap enough to leave running for a whole bench or
-// load run. When something goes wrong — an SLO breach detected by
-// SloRegistry::evaluate, or a latency-threshold anomaly caught by the
-// LatencyWatchdog — the ring is frozen into a named Snapshot. Snapshots
-// are retained (last kMaxSnapshots) and can be written out as a
-// self-contained, Perfetto-loadable Chrome trace JSON (`dump`), which is
-// what `psctl flight dump` and the bench harness's breach auto-dump emit:
-// CI failures ship the exact offending traces, not just a red verdict.
+// The TraceRecorder's span deque is the only place spans are kept; the
+// FlightRecorder adds no ring of its own. When something goes wrong — an
+// SLO breach detected by SloRegistry::evaluate, or a latency-threshold
+// anomaly caught by the LatencyWatchdog — the trace ring is frozen into a
+// named Snapshot. Snapshots are retained (last kMaxSnapshots) and can be
+// written out as a self-contained, Perfetto-loadable Chrome trace JSON
+// (`dump`), which is what `psctl flight dump` and the bench harness's
+// breach auto-dump emit: CI failures ship the exact offending traces, not
+// just a red verdict.
 //
-// Budget math: a SpanRecord costs sizeof(SpanRecord) plus its heap strings
-// (approx_span_bytes). At the default 8 MiB budget and typical span sizes
-// (~250 B with short names/subjects) the ring holds on the order of 30k
-// spans — several times a full load_mixed run — so the trace behind a
-// p999 exemplar is still in the ring when the breach is detected at
-// collection time. Override with PROXYSTORE_FLIGHT_BUDGET (bytes).
+// A snapshot holds what the trace ring holds: at most its capacity
+// (65,536 spans by default, PROXYSTORE_TRACE_CAP overrides) of the most
+// recent spans. A 256-client load_mixed run records ~11k, so the trace
+// behind a p999 exemplar is still in the ring when the breach is detected
+// at collection time.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -35,39 +28,32 @@ namespace ps::obs {
 
 class MetricsRegistry;
 
-/// Approximate resident cost of one record: struct plus heap strings.
-std::size_t approx_span_bytes(const SpanRecord& span);
-
 class FlightRecorder {
  public:
-  static constexpr std::size_t kDefaultBudgetBytes = 8u << 20;  // 8 MiB
   static constexpr std::size_t kMaxSnapshots = 4;
 
-  /// One frozen copy of the ring, stamped with why and when it was taken.
+  /// One frozen copy of the trace ring, stamped with why and when it was
+  /// taken.
   struct Snapshot {
     std::string reason;
-    double wall_s = 0.0;   // TraceRecorder::global().wall_now() at capture
+    double wall_s = 0.0;   // the trace recorder's wall_now() at capture
     double vtime_s = 0.0;  // capturing thread's sim::vnow()
     std::vector<SpanRecord> spans;
   };
 
-  /// Reads PROXYSTORE_FLIGHT_BUDGET (bytes) when set.
-  FlightRecorder();
+  /// Freezes the spans of `trace`, which must outlive this recorder.
+  explicit FlightRecorder(const TraceRecorder& trace = TraceRecorder::global());
 
   static FlightRecorder& global();
 
-  /// Copies `span` into the ring, evicting oldest records past the byte
-  /// budget. Called by TraceRecorder::record_span for every span.
-  void record(const SpanRecord& span);
-
-  /// Freezes the current ring as a named snapshot (retaining the newest
+  /// Freezes the trace ring as a named snapshot (retaining the newest
   /// kMaxSnapshots) and returns a copy of it.
   Snapshot snapshot(std::string reason);
 
   std::vector<Snapshot> snapshots() const;
   bool has_snapshot() const;
 
-  /// The latest retained snapshot, or a live "live" capture of the ring
+  /// The latest retained snapshot, or a "live" capture of the trace ring
   /// when none has been taken yet.
   Snapshot latest_or_live() const;
 
@@ -83,25 +69,15 @@ class FlightRecorder {
   /// dump(path, latest_or_live()).
   bool dump(const std::string& path) const;
 
-  std::vector<SpanRecord> recent() const;
-  std::size_t size() const;
-  std::size_t bytes() const;
-  std::size_t budget() const;
-  void set_budget(std::size_t budget_bytes);
-  /// Monotonic count of records evicted by the budget (never reset).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  /// Empties the ring and drops retained snapshots (tests, multi-run
-  /// tools). Drop counters stay monotonic.
+  /// Drops retained snapshots (tests, multi-run tools).
   void clear();
 
  private:
+  /// An unretained capture of the trace ring. Takes only the trace lock.
+  Snapshot capture(std::string reason) const;
+
+  const TraceRecorder& trace_;
   mutable std::mutex mu_;
-  std::deque<SpanRecord> ring_;
-  std::size_t ring_bytes_ = 0;
-  std::size_t budget_ = kDefaultBudgetBytes;
-  std::atomic<std::uint64_t> dropped_{0};
   std::vector<Snapshot> snapshots_;
 };
 

@@ -101,6 +101,7 @@ void Histogram::maybe_exemplar(std::size_t bucket, double seconds) {
   }
   exemplar_best_[bucket].store(seconds, std::memory_order_relaxed);
   Exemplar& slot = exemplar_slots_[bucket];
+  slot.bucket = static_cast<std::uint32_t>(bucket);
   slot.value_s = seconds;
   slot.trace_hi = ctx.trace_hi;
   slot.trace_lo = ctx.trace_lo;
@@ -192,13 +193,11 @@ std::vector<double> Histogram::reservoir_values() const {
   return out;
 }
 
-std::vector<std::pair<double, Exemplar>> Histogram::exemplars() const {
-  std::vector<std::pair<double, Exemplar>> out;
+std::vector<Exemplar> Histogram::exemplars() const {
+  std::vector<Exemplar> out;
   std::lock_guard lock(exemplar_mu_);
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    if (exemplar_slots_[i].valid()) {
-      out.emplace_back(bounds()[i], exemplar_slots_[i]);
-    }
+  for (const Exemplar& slot : exemplar_slots_) {
+    if (slot.valid()) out.push_back(slot);
   }
   return out;
 }
@@ -339,9 +338,9 @@ std::string MetricsRegistry::dump_json() const {
     }
     out += "],\"exemplars\":[";
     bool first_exemplar = true;
-    for (const auto& [le, ex] : hist->exemplars()) {
+    for (const Exemplar& ex : hist->exemplars()) {
       json_comma(out, first_exemplar);
-      out += "{\"le\":" + fmt_double(le);
+      out += "{\"le\":" + fmt_double(Histogram::bounds()[ex.bucket]);
       out += ",\"value_s\":" + fmt_double(ex.value_s);
       out += ",\"trace_id\":\"" + ex.trace_id_hex() + "\"";
       out += ",\"span_id\":" + std::to_string(ex.span_id);

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -108,10 +109,14 @@ double histogram_percentile(double p, std::uint64_t count,
                             const std::vector<std::uint64_t>& buckets,
                             double max_s);
 
-/// One tail witness: the largest value observed in a bucket, linked to the
-/// trace it came from. Valid only when observed under an active trace
-/// context (exemplar-free histograms export exactly as before).
+/// One tail witness: the largest value observed in bucket `bucket` (the
+/// raw index into Histogram::bounds()), linked to the trace it came from.
+/// Valid only when observed under an active trace context (exemplar-free
+/// histograms export exactly as before). Also the telemetry wire form
+/// (obs/telemetry.hpp): cumulative, so window deltas carry the best witness
+/// so far, and merges keep the max-value witness per bucket.
 struct Exemplar {
+  std::uint32_t bucket = 0;
   double value_s = 0.0;
   std::uint64_t trace_hi = 0;
   std::uint64_t trace_lo = 0;
@@ -121,6 +126,13 @@ struct Exemplar {
   bool valid() const { return (trace_hi | trace_lo) != 0; }
   std::string trace_id_hex() const {
     return TraceContext{trace_hi, trace_lo, span_id, 0}.trace_id_hex();
+  }
+
+  auto serde_members() {
+    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
+  }
+  auto serde_members() const {
+    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
   }
 };
 
@@ -169,9 +181,6 @@ class Histogram {
   /// p in [0, 100]. Exact while count() <= kReservoir, else interpolated
   /// from bucket boundaries.
   double percentile(double p) const;
-  /// quantile(q) == percentile(100 q); q in [0, 1]. The form SLO
-  /// objectives and the Prometheus summary exposition speak.
-  double quantile(double q) const { return percentile(q * 100.0); }
   double p50() const { return percentile(50.0); }
   double p95() const { return percentile(95.0); }
   double p99() const { return percentile(99.0); }
@@ -201,8 +210,8 @@ class Histogram {
     return max_ns_.load(std::memory_order_relaxed);
   }
 
-  /// (bucket upper bound, exemplar) for buckets holding a valid exemplar.
-  std::vector<std::pair<double, Exemplar>> exemplars() const;
+  /// The valid exemplars, in bucket order.
+  std::vector<Exemplar> exemplars() const;
   /// The largest-valued exemplar across all buckets (invalid when none —
   /// i.e. the histogram was never observed under a trace context).
   Exemplar max_exemplar() const;

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "obs/critical.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -74,11 +73,8 @@ BenchArtifact collect_bench_artifact(
   artifact.seed = seed;
   artifact.git_rev = git_revision();
   const MetricsRegistry& registry = MetricsRegistry::global();
-  // Built lazily on the first series that actually has an exemplar; the
-  // flight ring is the fallback when the exemplar's trace already rolled
-  // out of the (larger but clearable) TraceRecorder.
+  // Built lazily on the first series that actually has an exemplar.
   std::optional<CriticalPath> recorded_paths;
-  std::optional<CriticalPath> flight_paths;
   for (const auto& [name, meta] : series_meta) {
     const Histogram* h = registry.find_histogram(name);
     if (h == nullptr || h->count() == 0) continue;
@@ -103,14 +99,6 @@ BenchArtifact collect_bench_artifact(
       std::optional<CriticalPathReport> path = recorded_paths->for_span(
           exemplar.trace_hi, exemplar.trace_lo, exemplar.span_id,
           /*require_root=*/true);
-      if (!path) {
-        if (!flight_paths) {
-          flight_paths =
-              CriticalPath::from_spans(FlightRecorder::global().recent());
-        }
-        path = flight_paths->for_span(exemplar.trace_hi, exemplar.trace_lo,
-                                      exemplar.span_id, /*require_root=*/true);
-      }
       if (path) {
         SeriesAttribution attribution;
         attribution.trace_id = path->trace_id;

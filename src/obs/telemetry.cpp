@@ -86,9 +86,9 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
     if (reservoir.size() >= Histogram::kReservoir) break;
     reservoir.push_back(s);
   }
-  for (const ExemplarSnapshot& ex : other.exemplars) {
+  for (const Exemplar& ex : other.exemplars) {
     bool placed = false;
-    for (ExemplarSnapshot& mine : exemplars) {
+    for (Exemplar& mine : exemplars) {
       if (mine.bucket != ex.bucket) continue;
       if (ex.value_s > mine.value_s) mine = ex;  // max witness wins
       placed = true;
@@ -117,16 +117,7 @@ RegistrySnapshot MetricsRegistry::take_snapshot(double vtime_s) const {
     h.max_ns = hist->max_ns();
     h.buckets = hist->bucket_counts();
     h.reservoir = hist->reservoir_values();
-    for (const auto& [le, ex] : hist->exemplars()) {
-      ExemplarSnapshot e;
-      e.bucket = static_cast<std::uint32_t>(Histogram::bucket_index(le));
-      e.value_s = ex.value_s;
-      e.trace_hi = ex.trace_hi;
-      e.trace_lo = ex.trace_lo;
-      e.span_id = ex.span_id;
-      e.vtime_s = ex.vtime_s;
-      h.exemplars.push_back(e);
-    }
+    h.exemplars = hist->exemplars();
     snap.histograms[name] = std::move(h);
   }
   return snap;
@@ -324,7 +315,7 @@ std::string federated_prometheus_text(
 
   for (const auto& [name, unused] : counter_names) {
     const std::string prom = prom_name(name) + "_total";
-    out += "# HELP " + prom + " Monotonic count of " + name +
+    out += "# HELP " + prom + " Monotonic count of " + prom_help_escape(name) +
            " events per site.\n";
     out += "# TYPE " + prom + " counter\n";
     for (const auto& [site, snap] : by_site) {
@@ -340,8 +331,9 @@ std::string federated_prometheus_text(
   const RegistrySnapshot aggregate = merge_registry_snapshots(all);
   for (const auto& [name, agg] : gauge_names) {
     const std::string prom = prom_name(name);
-    out += "# HELP " + prom + " Instantaneous value of " + name +
-           " per site (agg=" + to_string(agg) + ").\n";
+    out += "# HELP " + prom + " Instantaneous value of " +
+           prom_help_escape(name) + " per site (agg=" + to_string(agg) +
+           ").\n";
     out += "# TYPE " + prom + " gauge\n";
     for (const auto& [site, snap] : by_site) {
       const auto it = snap.gauges.find(name);

@@ -40,26 +40,6 @@
 
 namespace ps::obs {
 
-/// One bucket's trace-linked tail witness in wire form (bucket is the raw
-/// index into Histogram::bounds()). Cumulative, like the exemplar it copies:
-/// window deltas carry the best witness so far, and merges keep the
-/// max-value witness per bucket.
-struct ExemplarSnapshot {
-  std::uint32_t bucket = 0;
-  double value_s = 0.0;
-  std::uint64_t trace_hi = 0;
-  std::uint64_t trace_lo = 0;
-  std::uint64_t span_id = 0;
-  double vtime_s = 0.0;
-
-  auto serde_members() {
-    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
-  }
-  auto serde_members() const {
-    return std::tie(bucket, value_s, trace_hi, trace_lo, span_id, vtime_s);
-  }
-};
-
 /// Value copy of one Histogram: the full bucket array (index-aligned with
 /// Histogram::bounds()), the raw-sample reservoir prefix, and the integer
 /// sum/min/max the atomics maintain. percentile() is Histogram's own
@@ -72,7 +52,7 @@ struct HistogramSnapshot {
   std::uint64_t max_ns = 0;
   std::vector<std::uint64_t> buckets;  // Histogram::kBuckets entries
   std::vector<double> reservoir;       // first min(count, kReservoir) samples
-  std::vector<ExemplarSnapshot> exemplars;
+  std::vector<Exemplar> exemplars;
 
   auto serde_members() {
     return std::tie(count, sum_ns, min_ns, max_ns, buckets, reservoir,

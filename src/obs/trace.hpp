@@ -1,25 +1,19 @@
-// Proxy lifecycle tracing and distributed span collection.
+// Distributed span collection.
 //
-// A TraceRecorder captures two kinds of records:
-//   * instant events — per-subject lifecycle points (a subject is a
-//     "<store>/<key>" string minted when a proxy is created), each stamped
-//     with wall time (steady-clock seconds since recorder construction) and
-//     the recording thread's virtual time, plus the thread's active
-//     TraceContext so events attribute to the span they occurred under;
-//   * spans — closed [start, end] intervals produced by obs::SpanScope,
-//     carrying a full TraceContext (128-bit trace id, span id, parent span
-//     id) and the simulated locality (process/host/site) they executed in.
-//     Because the context rides on the wire (factory descriptors, FaaS task
-//     records, relay messages, endpoint requests), spans recorded in
-//     different simulated processes/sites stitch into one causal trace.
+// A TraceRecorder keeps closed [start, end] spans produced by
+// obs::SpanScope, each carrying a full TraceContext (128-bit trace id, span
+// id, parent span id) and the simulated locality (process/host/site) it
+// executed in. Because the context rides on the wire (factory descriptors,
+// FaaS task records, relay messages, endpoint requests), spans recorded in
+// different simulated processes/sites stitch into one causal trace.
 //
 // Disabled by default: the hot-path cost when off is one relaxed load.
-// The Store and descriptor-factory resolve path emit the canonical
-// lifecycle — proxy.created -> factory.serialized -> factory.deserialized ->
-// resolve.start -> connector.get -> deserialize -> cache.insert ->
-// resolve.done — so `timeline()` reconstructs where a resolve spent its
-// time across processes, and obs/export.hpp renders spans() as a
-// Perfetto-loadable Chrome trace.
+// A proxy's lifecycle is the spans the Store and the descriptor-factory
+// resolve path open under its "<store>/<key>" subject, in one trace —
+// store.proxy -> proxy.resolve -> store.cache.probe -> store.deserialize —
+// and obs/export.hpp renders spans() as a Perfetto-loadable Chrome trace.
+// The span deque here is the only copy: the flight recorder
+// (obs/flight.hpp) freezes it rather than keeping a ring of its own.
 #pragma once
 
 #include <atomic>
@@ -34,16 +28,6 @@
 #include "obs/context.hpp"
 
 namespace ps::obs {
-
-struct TraceEvent {
-  std::string subject;  // e.g. "store-name/key-canonical"
-  std::string name;     // e.g. "resolve.start"
-  double wall_s = 0.0;  // steady seconds since the recorder's origin
-  double vtime_s = 0.0;  // recording thread's sim::vnow()
-  /// The thread's active trace context at record time (invalid when the
-  /// event occurred outside any span).
-  TraceContext ctx;
-};
 
 /// One closed span: a named interval executed in one simulated locality,
 /// causally positioned by its TraceContext.
@@ -67,9 +51,9 @@ struct SpanRecord {
 
 class TraceRecorder {
  public:
-  /// Default ceiling on retained events and spans (each). Overridable at
-  /// process start via PROXYSTORE_TRACE_CAP (positive integer) and at
-  /// runtime via set_capacity().
+  /// Default ceiling on retained spans. Overridable at process start via
+  /// PROXYSTORE_TRACE_CAP (positive integer) and at runtime via
+  /// set_capacity().
   static constexpr std::size_t kDefaultCapacity = 65536;
 
   TraceRecorder();
@@ -81,31 +65,20 @@ class TraceRecorder {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Appends an event (no-op while disabled). Oldest events are dropped
-  /// once the buffer exceeds capacity.
-  void record(const std::string& subject, const std::string& event);
-
   /// Appends a closed span (no-op while disabled). Oldest spans are
   /// dropped once the buffer exceeds capacity.
   void record_span(SpanRecord span);
 
-  /// All events for one subject, in record order.
-  std::vector<TraceEvent> timeline(const std::string& subject) const;
-
   std::vector<SpanRecord> spans() const;
-  std::size_t size() const;
   std::size_t span_count() const;
   void clear();
 
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const;
 
-  /// Monotonic counts of records evicted by the capacity ceiling (never
-  /// reset by clear(); mirrored into the metrics registry as
-  /// "trace.dropped.events" / "trace.dropped.spans").
-  std::uint64_t dropped_events() const {
-    return dropped_events_.load(std::memory_order_relaxed);
-  }
+  /// Monotonic count of spans evicted by the capacity ceiling (never reset
+  /// by clear(); mirrored into the metrics registry as
+  /// "trace.dropped.spans").
   std::uint64_t dropped_spans() const {
     return dropped_spans_.load(std::memory_order_relaxed);
   }
@@ -115,15 +88,12 @@ class TraceRecorder {
   double wall_now() const;
 
  private:
-  void note_dropped_events(std::size_t n);
   void note_dropped_spans(std::size_t n);
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::deque<TraceEvent> events_;
   std::deque<SpanRecord> spans_;
   std::size_t capacity_ = kDefaultCapacity;
-  std::atomic<std::uint64_t> dropped_events_{0};
   std::atomic<std::uint64_t> dropped_spans_{0};
   std::chrono::steady_clock::time_point origin_ =
       std::chrono::steady_clock::now();

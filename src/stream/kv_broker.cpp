@@ -1,6 +1,7 @@
 #include "stream/kv_broker.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <thread>
 
 #include "common/error.hpp"
@@ -9,6 +10,11 @@
 namespace ps::stream {
 
 namespace {
+
+/// Virtual-time backoff between head probes of an idle subscriber.
+constexpr double kPollIntervalS = 0.005;
+/// Probe budget before next() fails (stuck-producer guard).
+constexpr std::uint32_t kMaxPolls = 1000;
 
 std::string topic_key(const std::string& topic, const std::string& field) {
   return "ps.stream/" + topic + "/" + field;
@@ -27,20 +33,16 @@ std::uint64_t read_counter(kv::KvClient& client, const std::string& key) {
 /// so round-trip costs charge the thread actually consuming.
 class KvSubscription : public Subscription {
  public:
-  KvSubscription(kv::KvClient client, std::string topic, std::uint64_t cursor,
-                 KvBrokerOptions options)
-      : client_(std::move(client)),
-        topic_(std::move(topic)),
-        cursor_(cursor),
-        options_(options) {}
+  KvSubscription(kv::KvClient client, std::string topic, std::uint64_t cursor)
+      : client_(std::move(client)), topic_(std::move(topic)), cursor_(cursor) {}
 
   std::optional<Bytes> next() override {
-    for (std::uint32_t poll = 0; poll <= options_.max_polls; ++poll) {
+    for (std::uint32_t poll = 0; poll <= kMaxPolls; ++poll) {
       if (auto event = take_available()) return event;
       // Nothing new: end-of-stream only once closed AND the head has not
       // moved past the cursor (events published before close still drain).
       if (at_end()) return std::nullopt;
-      sim::vadvance(options_.poll_interval_s);
+      sim::vadvance(kPollIntervalS);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     throw Error("KvBroker: subscriber to '" + topic_ +
@@ -51,18 +53,6 @@ class KvSubscription : public Subscription {
 
  private:
   bool at_end() {
-    if (options_.pipelined_poll) {
-      // Both probes in flight on the kv channel at once: the pair costs
-      // ~max-of-pipeline instead of two sequential round trips. get() on
-      // each merges that request's own completion vtime.
-      auto closed = client_.exists_async(topic_key(topic_, "closed"));
-      auto head = client_.get_async(topic_key(topic_, "head"));
-      const bool is_closed = closed.get();
-      const std::optional<Bytes> head_value = head.get();
-      const std::uint64_t head_seq =
-          head_value ? std::stoull(*head_value) : 0;
-      return is_closed && head_seq <= cursor_;
-    }
     return client_.exists(topic_key(topic_, "closed")) &&
            read_counter(client_, topic_key(topic_, "head")) <= cursor_;
   }
@@ -83,13 +73,12 @@ class KvSubscription : public Subscription {
   kv::KvClient client_;
   std::string topic_;
   std::uint64_t cursor_;
-  KvBrokerOptions options_;
 };
 
 }  // namespace
 
-KvBroker::KvBroker(const std::string& address, KvBrokerOptions options)
-    : address_(address), options_(options), client_(address) {}
+KvBroker::KvBroker(const std::string& address)
+    : address_(address), client_(address) {}
 
 void KvBroker::publish(const std::string& topic, BytesView event) {
   if (client_.exists(topic_key(topic, "closed"))) {
@@ -124,7 +113,7 @@ std::shared_ptr<Subscription> KvBroker::subscribe(const std::string& topic) {
       read_counter(client_, topic_key(topic, "head"));
   const std::uint64_t subs = read_counter(client_, topic_key(topic, "subs"));
   client_.set(topic_key(topic, "subs"), std::to_string(subs + 1));
-  return std::make_shared<KvSubscription>(client_, topic, cursor, options_);
+  return std::make_shared<KvSubscription>(client_, topic, cursor);
 }
 
 std::size_t KvBroker::subscriber_count(const std::string& topic) {

@@ -13,11 +13,10 @@
 // Concurrency contract: one producer per topic (head is read-modify-write),
 // any number of subscribers in any process. Subscribers joining mid-stream
 // start at the current tail. An idle subscriber polls the head, advancing
-// its virtual clock by poll_interval_s per probe, and gives up with Error
-// after max_polls probes without progress or close.
+// its virtual clock by 5 ms per probe, and gives up with Error after 1000
+// probes without progress or close.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -26,24 +25,11 @@
 
 namespace ps::stream {
 
-struct KvBrokerOptions {
-  /// Virtual-time backoff between head probes of an idle subscriber.
-  double poll_interval_s = 0.005;
-  /// Probe budget before next() fails (stuck-producer guard).
-  std::uint32_t max_polls = 1000;
-  /// Issue an idle subscriber's end-of-stream probes (closed marker + head
-  /// counter) as two pipelined in-flight requests on the kv channel instead
-  /// of two sequential round trips — the probe pair costs ~max, not sum.
-  /// Off by default: the sequential probe costs are part of the blessed
-  /// stream baselines.
-  bool pipelined_poll = false;
-};
-
 class KvBroker : public PubSub {
  public:
   /// `address` of a running kv::KvServer (kv::kv_address(host, name)),
   /// resolved through the current world's service directory.
-  explicit KvBroker(const std::string& address, KvBrokerOptions options = {});
+  explicit KvBroker(const std::string& address);
 
   std::string type() const override { return "kv"; }
 
@@ -61,7 +47,6 @@ class KvBroker : public PubSub {
 
  private:
   std::string address_;
-  KvBrokerOptions options_;
   kv::KvClient client_;
 };
 

@@ -8,12 +8,12 @@
 // descriptor, so bulk data moves producer -> channel -> consumer directly
 // and only metadata crosses the broker.
 //
-// Eviction protocol: with ref_counted_eviction on (default), each flushed
-// payload's reference count is set to the topic's subscriber count at
-// publish time; every consumer resolve decrements it and the last resolve
-// evicts the payload from the channel (RefCountRegistry semantics). An
-// event published to zero subscribers evicts its payload immediately — no
-// consumer can ever reach it (subscribers join at the tail).
+// Eviction protocol: each flushed payload's reference count is set to the
+// topic's subscriber count at publish time; every consumer resolve
+// decrements it and the last resolve evicts the payload from the channel
+// (RefCountRegistry semantics). An event published to zero subscribers
+// evicts its payload immediately — no consumer can ever reach it
+// (subscribers join at the tail).
 //
 // Observability: every flush/publish/consume runs under an obs span; the
 // publish span's TraceContext rides inside the event (and its descriptor),
@@ -47,8 +47,6 @@ struct StreamProducerOptions {
   std::size_t max_batch_items = 16;
   /// Flush when buffered serialized payloads reach this many bytes.
   std::size_t max_batch_bytes = std::size_t{1} << 20;
-  /// Mint ref-counted payloads: the last subscriber resolve evicts.
-  bool ref_counted_eviction = true;
 };
 
 template <typename T>
@@ -115,7 +113,7 @@ class StreamProducer {
 
     const std::size_t subs = broker_->subscriber_count(topic_);
     std::shared_ptr<core::RefCountRegistry> refcounts;
-    if (options_.ref_counted_eviction && subs > 0) {
+    if (subs > 0) {
       refcounts = core::RefCountRegistry::for_store(store_->name());
     }
 
@@ -147,7 +145,7 @@ class StreamProducer {
     // round trips for N events instead of 3N).
     broker_->publish_batch(topic_, wire_events);
 
-    if (options_.ref_counted_eviction && subs == 0) {
+    if (subs == 0) {
       // Nobody can ever reach these payloads (subscribers join at the
       // tail): reclaim the channel immediately instead of leaking — one
       // pipelined evict_batch round trip for the whole flush.
@@ -196,27 +194,16 @@ struct StreamItem {
   core::Proxy<T> proxy;
 };
 
-struct StreamConsumerOptions {
-  /// Start resolving each delivered payload on the shared AsyncExecutor as
-  /// soon as its event arrives, so the transfer overlaps whatever the
-  /// consumer does before first access (the paper's compute/communication
-  /// overlap applied to streams).
-  bool prefetch_payloads = false;
-};
-
 template <typename T>
 class StreamConsumer {
  public:
-  StreamConsumer(std::shared_ptr<PubSub> broker, std::string topic,
-                 StreamConsumerOptions options = {})
+  StreamConsumer(std::shared_ptr<PubSub> broker, std::string topic)
       : broker_(std::move(broker)),
         topic_(std::move(topic)),
-        options_(options),
         subscription_(broker_->subscribe(topic_)) {}
 
   /// Blocks for the next event; nullopt at end-of-stream. The returned
-  /// proxy is unresolved — the payload transfers on first access (or in
-  /// the background when prefetch_payloads is on).
+  /// proxy is unresolved — the payload transfers on first access.
   std::optional<StreamItem<T>> next_item() {
     std::optional<Bytes> wire;
     {
@@ -233,7 +220,6 @@ class StreamConsumer {
     obs::MetricsRegistry::ambient().counter("stream.consume." + topic_).inc();
     ++consumed_;
     core::Proxy<T> proxy = payload_proxy<T>(event);
-    if (options_.prefetch_payloads) proxy.resolve_async();
     return StreamItem<T>{std::move(event), std::move(proxy)};
   }
 
@@ -250,7 +236,6 @@ class StreamConsumer {
  private:
   std::shared_ptr<PubSub> broker_;
   std::string topic_;
-  StreamConsumerOptions options_;
   std::shared_ptr<Subscription> subscription_;
   std::uint64_t consumed_ = 0;
 };

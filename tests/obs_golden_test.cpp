@@ -250,16 +250,14 @@ const std::map<std::string, std::string>& expected() {
      "# TYPE ps_golden_ops_total counter\n"
      "ps_golden_ops_total 42\n"
      "# HELP ps_tab_here_nl__q__back_slash___total Monotonic count of "
-     "tab\there\n"
-     "nl \"q\" back\\slash \001 events.\n"
+     "tab\there\\nnl \"q\" back\\\\slash \001 events.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___total counter\n"
      "ps_tab_here_nl__q__back_slash___total 7\n"
      "# HELP ps_golden_depth Instantaneous value of golden.depth.\n"
      "# TYPE ps_golden_depth gauge\n"
      "ps_golden_depth 2.5\n"
      "# HELP ps_tab_here_nl__q__back_slash__ Instantaneous value of ta"
-     "b\there\n"
-     "nl \"q\" back\\slash \001.\n"
+     "b\there\\nnl \"q\" back\\\\slash \001.\n"
      "# TYPE ps_tab_here_nl__q__back_slash__ gauge\n"
      "ps_tab_here_nl__q__back_slash__ 1.25\n"
      "# HELP ps_golden_big_seconds Latency distribution of golden.big "
@@ -311,8 +309,7 @@ const std::map<std::string, std::string>& expected() {
      "ps_golden_lat_quantiles_seconds_sum 0.031\n"
      "ps_golden_lat_quantiles_seconds_count 4\n"
      "# HELP ps_tab_here_nl__q__back_slash___seconds Latency distribut"
-     "ion of tab\there\n"
-     "nl \"q\" back\\slash \001 in seconds.\n"
+     "ion of tab\there\\nnl \"q\" back\\\\slash \001 in seconds.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___seconds histogram\n"
      "ps_tab_here_nl__q__back_slash___seconds_bucket{le=\"5.62341325e-0"
      "6\"} 1\n"
@@ -325,8 +322,7 @@ const std::map<std::string, std::string>& expected() {
      "ps_tab_here_nl__q__back_slash___seconds_sum 2.050754\n"
      "ps_tab_here_nl__q__back_slash___seconds_count 4\n"
      "# HELP ps_tab_here_nl__q__back_slash___quantiles_seconds Latency"
-     " quantiles of tab\there\n"
-     "nl \"q\" back\\slash \001 in seconds.\n"
+     " quantiles of tab\there\\nnl \"q\" back\\\\slash \001 in seconds.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___quantiles_seconds summary"
      "\n"
      "ps_tab_here_nl__q__back_slash___quantiles_seconds{quantile=\"0.5\""
@@ -373,8 +369,7 @@ const std::map<std::string, std::string>& expected() {
      "ps_golden_ops_total{site=\"site-a\"} 42\n"
      "ps_golden_ops_total{site=\"tab\there\\nnl \\\"q\\\" back\\\\slash \001\"} 8\n"
      "# HELP ps_tab_here_nl__q__back_slash___total Monotonic count of "
-     "tab\there\n"
-     "nl \"q\" back\\slash \001 events per site.\n"
+     "tab\there\\nnl \"q\" back\\\\slash \001 events per site.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___total counter\n"
      "ps_tab_here_nl__q__back_slash___total{site=\"site-a\"} 7\n"
      "# HELP ps_golden_depth Instantaneous value of golden.depth per s"
@@ -384,8 +379,7 @@ const std::map<std::string, std::string>& expected() {
      "ps_golden_depth{site=\"tab\there\\nnl \\\"q\\\" back\\\\slash \001\"} 4\n"
      "ps_golden_depth{site=\"aggregate\"} 4\n"
      "# HELP ps_tab_here_nl__q__back_slash__ Instantaneous value of ta"
-     "b\there\n"
-     "nl \"q\" back\\slash \001 per site (agg=sum).\n"
+     "b\there\\nnl \"q\" back\\\\slash \001 per site (agg=sum).\n"
      "# TYPE ps_tab_here_nl__q__back_slash__ gauge\n"
      "ps_tab_here_nl__q__back_slash__{site=\"site-a\"} 1.25\n"
      "ps_tab_here_nl__q__back_slash__{site=\"aggregate\"} 1.25\n"
@@ -475,8 +469,7 @@ const std::map<std::string, std::string>& expected() {
      "ps_golden_lat_quantiles_seconds_count{site=\"tab\there\\nnl \\\"q\\\" b"
      "ack\\\\slash \001\"} 1\n"
      "# HELP ps_tab_here_nl__q__back_slash___seconds Latency distribut"
-     "ion of tab\there\n"
-     "nl \"q\" back\\slash \001 in seconds per site.\n"
+     "ion of tab\there\\nnl \"q\" back\\\\slash \001 in seconds per site.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___seconds histogram\n"
      "ps_tab_here_nl__q__back_slash___seconds_bucket{site=\"site-a\",le="
      "\"5.62341325e-06\"} 1\n"
@@ -492,8 +485,7 @@ const std::map<std::string, std::string>& expected() {
      "754\n"
      "ps_tab_here_nl__q__back_slash___seconds_count{site=\"site-a\"} 4\n"
      "# HELP ps_tab_here_nl__q__back_slash___quantiles_seconds Latency"
-     " quantiles of tab\there\n"
-     "nl \"q\" back\\slash \001 in seconds per site.\n"
+     " quantiles of tab\there\\nnl \"q\" back\\\\slash \001 in seconds per site.\n"
      "# TYPE ps_tab_here_nl__q__back_slash___quantiles_seconds summary"
      "\n"
      "ps_tab_here_nl__q__back_slash___quantiles_seconds{site=\"site-a\","

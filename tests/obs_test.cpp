@@ -293,23 +293,27 @@ TEST(Trace, RecordsDualTimestampsInOrder) {
   recorder.clear();
   recorder.set_enabled(true);
   sim::vadvance(0.125);
-  recorder.record("subj", "first");
+  { SpanScope first("first", "subj"); }
   sim::vadvance(0.5);
-  recorder.record("subj", "work.start");
-  recorder.record("subj", "work.done");
-  recorder.set_enabled(false);
-  recorder.record("subj", "dropped");  // disabled: must not record
-
-  const auto events = recorder.timeline("subj");
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "first");
-  EXPECT_EQ(events[1].name, "work.start");
-  EXPECT_EQ(events[2].name, "work.done");
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].wall_s, events[i - 1].wall_s);
-    EXPECT_GE(events[i].vtime_s, events[i - 1].vtime_s);
+  {
+    SpanScope work("work", "subj");
+    sim::vadvance(0.25);
   }
-  EXPECT_NEAR(events[1].vtime_s - events[0].vtime_s, 0.5, 1e-9);
+  recorder.set_enabled(false);
+  { SpanScope dropped("dropped", "subj"); }  // disabled: must not record
+
+  const auto spans = recorder.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "first");
+  EXPECT_EQ(spans[1].name, "work");
+  for (const SpanRecord& span : spans) {
+    EXPECT_EQ(span.subject, "subj");
+    EXPECT_LE(span.wall_start, span.wall_end);
+    EXPECT_LE(span.vtime_start, span.vtime_end);
+  }
+  EXPECT_GE(spans[1].wall_start, spans[0].wall_end);
+  EXPECT_NEAR(spans[1].vtime_start - spans[0].vtime_start, 0.5, 1e-9);
+  EXPECT_NEAR(spans[1].vtime_end - spans[1].vtime_start, 0.25, 1e-9);
   recorder.clear();
 }
 
@@ -486,44 +490,38 @@ TEST_F(ObsStoreTest, ProxyLifecycleTraceHasOrderedEvents) {
     EXPECT_EQ(*p, "traced");  // resolve across the simulated WAN
   }
 
-  const auto events = recorder.timeline(subject);
-  // The full store-backed lifecycle: proxy.created, factory.serialized,
-  // factory.deserialized, resolve.start, connector.get, deserialize,
-  // cache.insert, resolve.done.
-  ASSERT_GE(events.size(), 4u);
-  std::vector<std::string> names;
-  for (const TraceEvent& event : events) names.push_back(event.name);
-  for (const char* required :
-       {"proxy.created", "factory.serialized", "factory.deserialized",
-        "resolve.start", "connector.get", "resolve.done"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
-        << "missing lifecycle event " << required;
+  // The proxy's lifecycle is the spans carrying its subject: created at the
+  // producer's site, then resolved at the consumer's (a cache probe, and on
+  // the miss a deserialization), all in the creating span's trace.
+  std::vector<SpanRecord> lifecycle;
+  for (const SpanRecord& span : recorder.spans()) {
+    if (span.subject == subject) lifecycle.push_back(span);
   }
-  // Distinct event names, timestamps monotonically non-decreasing in both
-  // clocks.
-  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
-            names.size());
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].wall_s, events[i - 1].wall_s);
-    EXPECT_GE(events[i].vtime_s, events[i - 1].vtime_s);
+  const std::pair<const char*, const char*> expected[] = {
+      {"store.proxy", "site-a"},
+      {"proxy.resolve", "site-b"},
+      {"store.cache.probe", "site-b"},
+      {"store.deserialize", "site-b"}};
+  const SpanRecord* previous = nullptr;
+  for (const auto& [name, site] : expected) {
+    const auto it = std::find_if(
+        lifecycle.begin(), lifecycle.end(),
+        [name = std::string(name)](const SpanRecord& span) {
+          return span.name == name;
+        });
+    ASSERT_NE(it, lifecycle.end()) << "missing lifecycle span " << name;
+    EXPECT_EQ(it->site, site) << name;
+    if (previous != nullptr) {
+      EXPECT_EQ(it->ctx.trace_hi, previous->ctx.trace_hi) << name;
+      EXPECT_EQ(it->ctx.trace_lo, previous->ctx.trace_lo) << name;
+      EXPECT_GE(it->vtime_start, previous->vtime_start) << name;
+    }
+    previous = &*it;
   }
 
   recorder.set_enabled(false);
   recorder.clear();
   core::unregister_store("obs-trace");
-}
-
-TEST(TraceCapacity, OldestEventsDropWhenFull) {
-  TraceRecorder recorder;
-  recorder.set_enabled(true);
-  recorder.set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    recorder.record("cap", "event-" + std::to_string(i));
-  }
-  const auto events = recorder.timeline("cap");
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().name, "event-6");
-  EXPECT_EQ(events.back().name, "event-9");
 }
 
 // ------------------------------------------------- distributed tracing ----
@@ -1439,8 +1437,7 @@ TEST(HistogramQuantiles, P999AndQuantileTrackPercentileAndExportInJson) {
   for (int i = 1; i <= 1000; ++i) h.observe(i * 1e-3);
 
   EXPECT_DOUBLE_EQ(h.p999(), h.percentile(99.9));
-  EXPECT_DOUBLE_EQ(h.quantile(0.999), h.percentile(99.9));
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), h.percentile(50.0));
+  EXPECT_DOUBLE_EQ(h.p50(), h.percentile(50.0));
   // 1000 samples fit the reservoir, so the quantiles are exact.
   EXPECT_NEAR(h.p999(), 0.999, 2e-3);
   EXPECT_GE(h.p999(), h.percentile(99.0));
@@ -1558,10 +1555,10 @@ TEST(HistogramExemplars, RequireContextAndMaxValueWinsPerBucket) {
   }
   const auto exemplars = h.exemplars();
   ASSERT_EQ(exemplars.size(), 2u);
-  EXPECT_NEAR(exemplars[0].second.value_s, 1.2e-3, 1e-12);
-  EXPECT_NEAR(exemplars[1].second.value_s, 0.7, 1e-12);
-  for (const auto& [le, ex] : exemplars) {
-    EXPECT_LE(ex.value_s, le);
+  EXPECT_NEAR(exemplars[0].value_s, 1.2e-3, 1e-12);
+  EXPECT_NEAR(exemplars[1].value_s, 0.7, 1e-12);
+  for (const Exemplar& ex : exemplars) {
+    EXPECT_EQ(ex.bucket, Histogram::bucket_index(ex.value_s));
     EXPECT_EQ(ex.trace_hi, ctx.trace_hi);
     EXPECT_EQ(ex.trace_lo, ctx.trace_lo);
     EXPECT_EQ(ex.span_id, ctx.span_id);
@@ -1653,6 +1650,45 @@ TEST(PrometheusExport, LabelValuesEscapeBackslashQuoteNewline) {
     if (line.empty() || line[0] == '#') continue;
     // Every sample line is complete: name{labels} value.
     EXPECT_NE(line.find("} "), std::string::npos) << line;
+  }
+}
+
+TEST(PrometheusExport, HelpTextEscapesBackslashAndNewline) {
+  // A metric name with a backslash and a newline must not split a HELP
+  // line: each family keeps exactly one HELP line, quoting the escaped
+  // name, and every other line is a TYPE line or a sample.
+  const std::string name = "evil\\name\nnext";
+  MetricsRegistry registry;
+  registry.counter(name).inc();
+  registry.gauge(name).set(1.0);
+  registry.histogram(name).observe(1e-3);
+  const RegistrySnapshot snap = registry.take_snapshot(0.0);
+  for (const std::string& text :
+       {prometheus_text(registry),
+        federated_prometheus_text({{"site-a", snap}})}) {
+    std::map<std::string, int> help;  // family -> HELP lines
+    std::set<std::string> families;   // from TYPE lines
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind("# HELP ", 0) == 0) {
+        const std::string rest = line.substr(7);
+        ++help[rest.substr(0, rest.find(' '))];
+        EXPECT_NE(line.find(" evil\\\\name\\nnext"), std::string::npos)
+            << line;
+      } else if (line.rfind("# TYPE ", 0) == 0) {
+        const std::string rest = line.substr(7);
+        families.insert(rest.substr(0, rest.find(' ')));
+      } else if (line != "# EOF") {
+        EXPECT_EQ(line.rfind("ps_evil_name_next", 0), 0u) << line;
+      }
+    }
+    // Counter, gauge, histogram and its quantile summary.
+    EXPECT_EQ(families.size(), 4u) << text;
+    for (const std::string& family : families) {
+      EXPECT_EQ(help[family], 1) << family;
+    }
+    EXPECT_EQ(help.size(), families.size()) << text;
   }
 }
 
@@ -1779,33 +1815,34 @@ TEST(CriticalPath, OverlappingChildrenClipAndForSpanRequiresRoot) {
 
 // ---------------------------------------------------- flight recorder ------
 
-TEST(FlightRecorder, ByteBudgetEvictsOldestAndCountsDrops) {
-  FlightRecorder flight;
-  const TraceContext ctx = new_root_context();
-  const SpanRecord span = make_span(ctx, "flight.span", "client", 0.0, 1.0);
-  const std::size_t cost = approx_span_bytes(span);
-  flight.set_budget(cost * 4);
-  for (int i = 0; i < 10; ++i) flight.record(span);
-  EXPECT_LE(flight.size(), 4u);
-  EXPECT_LE(flight.bytes(), flight.budget());
-  EXPECT_GE(flight.dropped(), 6u);
-  const std::uint64_t dropped_before = flight.dropped();
-
-  // Shrinking the budget evicts immediately but always keeps one record.
-  flight.set_budget(1);
-  EXPECT_EQ(flight.size(), 1u);
-  EXPECT_GT(flight.dropped(), dropped_before);
-
-  // clear() empties the ring; drop counters stay monotonic.
+TEST(FlightRecorder, SnapshotHoldsOnlyTheSpansLeftAfterTraceClear) {
+  // The flight recorder keeps no ring of its own: a snapshot is the trace
+  // ring as it stands, so spans cleared from the trace are gone from it.
+  TraceRecorder& trace = TraceRecorder::global();
+  FlightRecorder& flight = FlightRecorder::global();
+  trace.clear();
   flight.clear();
-  EXPECT_EQ(flight.size(), 0u);
-  EXPECT_GT(flight.dropped(), dropped_before);
+  trace.set_enabled(true);
+  const TraceContext ctx = new_root_context();
+  for (int i = 0; i < 3; ++i) {
+    trace.record_span(make_span(ctx, "before.clear", "client", 0.0, 1.0));
+  }
+  trace.clear();
+  trace.record_span(make_span(ctx, "after.clear", "client", 1.0, 2.0));
+  const FlightRecorder::Snapshot snap = flight.snapshot("after-clear");
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].name, "after.clear");
+  trace.set_enabled(false);
+  trace.clear();
+  flight.clear();
 }
 
 TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
-  FlightRecorder flight;
+  TraceRecorder trace;
+  trace.set_enabled(true);
+  FlightRecorder flight(trace);
   const TraceContext ctx = new_root_context();
-  flight.record(make_span(ctx, "flight.op", "client", 0.5, 2.5));
+  trace.record_span(make_span(ctx, "flight.op", "client", 0.5, 2.5));
   EXPECT_FALSE(flight.has_snapshot());
 
   // latest_or_live falls back to a live capture without retaining it.
@@ -1849,8 +1886,13 @@ TEST(FlightRecorder, SnapshotRetentionAndPerfettoLoadableDump) {
 }
 
 TEST(LatencyWatchdog, LatchedThresholdCrossingFreezesFlightRecorder) {
+  TraceRecorder& trace = TraceRecorder::global();
   FlightRecorder& flight = FlightRecorder::global();
+  trace.clear();
   flight.clear();
+  trace.set_enabled(true);
+  trace.record_span(
+      make_span(new_root_context(), "dog.op", "client", 0.0, 0.25));
   LatencyWatchdog& watchdog = LatencyWatchdog::global();
   watchdog.clear();
 
@@ -1866,8 +1908,12 @@ TEST(LatencyWatchdog, LatchedThresholdCrossingFreezesFlightRecorder) {
   h.observe(0.250);  // crosses
   EXPECT_EQ(watchdog.check(registry), 1u);
   ASSERT_TRUE(flight.has_snapshot());
-  const std::string reason = flight.latest_or_live().reason;
-  EXPECT_NE(reason.find("anomaly: dog.lat"), std::string::npos) << reason;
+  const FlightRecorder::Snapshot snap = flight.latest_or_live();
+  EXPECT_NE(snap.reason.find("anomaly: dog.lat"), std::string::npos)
+      << snap.reason;
+  // The snapshot froze the trace ring, with the span recorded above.
+  ASSERT_EQ(snap.spans.size(), 1u);
+  EXPECT_EQ(snap.spans[0].name, "dog.op");
 
   // Latched: the same crossing never snapshots twice...
   EXPECT_EQ(watchdog.check(registry), 0u);
@@ -1877,6 +1923,8 @@ TEST(LatencyWatchdog, LatchedThresholdCrossingFreezesFlightRecorder) {
 
   watchdog.clear();
   EXPECT_EQ(watchdog.size(), 0u);
+  trace.set_enabled(false);
+  trace.clear();
   flight.clear();
 }
 
@@ -1892,12 +1940,9 @@ TEST(TraceRecorder, CapacityCeilingEvictsOldestAndCountsDrops) {
   for (int i = 0; i < 10; ++i) {
     recorder.record_span(
         make_span(ctx, "cap.span." + std::to_string(i), "", 0.0, 1.0));
-    recorder.record("cap.subject", "cap.event." + std::to_string(i));
   }
   EXPECT_EQ(recorder.span_count(), 4u);
-  EXPECT_EQ(recorder.size(), 4u);
   EXPECT_EQ(recorder.dropped_spans(), 6u);
-  EXPECT_EQ(recorder.dropped_events(), 6u);
   // The survivors are the newest records.
   EXPECT_EQ(recorder.spans().front().name, "cap.span.6");
   EXPECT_EQ(recorder.spans().back().name, "cap.span.9");
@@ -1906,7 +1951,6 @@ TEST(TraceRecorder, CapacityCeilingEvictsOldestAndCountsDrops) {
   recorder.set_capacity(2);
   EXPECT_EQ(recorder.span_count(), 2u);
   EXPECT_EQ(recorder.dropped_spans(), 8u);
-  EXPECT_EQ(recorder.dropped_events(), 8u);
 
   // clear() empties the buffers but never resets the drop counters.
   recorder.clear();
@@ -2075,9 +2119,8 @@ TEST(JsonReader, DecodesEveryEscapeAndRejectsMalformedOnesAtTheirOffset) {
 TEST(ObsConcurrency, ExportersAndProfilerRaceRecordersSafely) {
   auto& registry = MetricsRegistry::global();
   TraceRecorder& recorder = TraceRecorder::global();
-  FlightRecorder& flight = FlightRecorder::global();
+  FlightRecorder flight(recorder);
   recorder.clear();
-  flight.clear();
   recorder.set_enabled(true);
   // A tight span cap forces concurrent evictions, so the drop accounting
   // races the writers too.
@@ -2095,10 +2138,7 @@ TEST(ObsConcurrency, ExportersAndProfilerRaceRecordersSafely) {
         registry.gauge("race.depth").set(static_cast<double>(i));
         registry.histogram("race.latency").observe(1e-6 * (i + 1));
         SpanScope outer("race.outer." + std::to_string(w));
-        {
-          SpanScope inner("race.inner");
-          recorder.record("race.subject", "tick");
-        }
+        { SpanScope inner("race.inner", "race.subject"); }
       }
     });
   }
@@ -2118,8 +2158,8 @@ TEST(ObsConcurrency, ExportersAndProfilerRaceRecordersSafely) {
           (void)profile.folded();
           (void)profile.top_nodes(4);
         } else if (r == 3) {
-          // Flight snapshots + critical-path analysis race the recording
-          // threads; no span may come out torn.
+          // Flight snapshots of the trace ring + critical-path analysis
+          // race the recording threads; no span may come out torn.
           const auto snap = flight.snapshot("race");
           for (const SpanRecord& span : snap.spans) {
             EXPECT_FALSE(span.name.empty());
@@ -2152,7 +2192,6 @@ TEST(ObsConcurrency, ExportersAndProfilerRaceRecordersSafely) {
             static_cast<std::uint64_t>(kWriters) * kIterations * 2 - 256);
   recorder.set_capacity(TraceRecorder::kDefaultCapacity);
   recorder.clear();
-  flight.clear();
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //                                 two fresh PS-endpoints and report costs
 //   psctl metrics [--json|--prom] run an instrumented demo workload and dump
 //                                 the metrics registry (table + one proxy
-//                                 lifecycle timeline; JSON with --json;
+//                                 lifecycle's spans; JSON with --json;
 //                                 Prometheus text format with --prom,
 //                                 OpenMetrics-terminated with `# EOF`)
 //   psctl metrics --sites [--json|--prom]
@@ -43,9 +43,9 @@
 //                                 nothing was recorded or a decomposition
 //                                 fails to sum back to its root window
 //   psctl flight dump <file>      run the traced round trip, freeze the
-//                                 always-on flight recorder, and write the
-//                                 snapshot as Perfetto-loadable JSON with a
-//                                 top-level "flight" header
+//                                 trace ring with the flight recorder, and
+//                                 write the snapshot as Perfetto-loadable
+//                                 JSON with a top-level "flight" header
 //   psctl profile [--folded <file>] [--wall]
 //                                 run the same traced round trip and print
 //                                 the span-derived call-tree profile
@@ -355,8 +355,8 @@ int cmd_trace_critical(testbed::Testbed& tb, std::size_t top_n, bool json) {
   return 0;
 }
 
-// `psctl flight dump <file>`: the traced round trip's flight-recorder ring
-// frozen and written as a Perfetto-loadable dump.
+// `psctl flight dump <file>`: the traced round trip's trace ring frozen by
+// the flight recorder and written as a Perfetto-loadable dump.
 int cmd_flight_dump(testbed::Testbed& tb, const std::string& path) {
   if (const int rc = run_traced_round_trip(tb); rc != 0) return rc;
 
@@ -371,10 +371,11 @@ int cmd_flight_dump(testbed::Testbed& tb, const std::string& path) {
                  path.c_str());
     return 1;
   }
-  std::printf("flight dump: %zu spans (%zu dropped by budget) to %s\n",
-              snap.spans.size(),
-              static_cast<std::size_t>(obs::FlightRecorder::global().dropped()),
-              path.c_str());
+  std::printf(
+      "flight dump: %zu spans (%zu dropped by trace cap) to %s\n",
+      snap.spans.size(),
+      static_cast<std::size_t>(obs::TraceRecorder::global().dropped_spans()),
+      path.c_str());
   std::printf("open in https://ui.perfetto.dev or chrome://tracing\n");
   return 0;
 }
@@ -567,9 +568,9 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       for (auto& pending : ladder) pending.wait();
     }
 
-    // One proxy resolved in a different simulated process: the full
-    // lifecycle (created -> serialized -> deserialized -> resolved) lands
-    // in the trace recorder.
+    // One proxy resolved in a different simulated process: its lifecycle
+    // spans (store.proxy -> proxy.resolve -> store.cache.probe ->
+    // store.deserialize) land in the trace recorder under one trace.
     core::Proxy<std::string> p = local->proxy(std::string("traced-object"));
     subject = core::trace_subject(local->name(),
                                   p.factory().descriptor()->key);
@@ -818,11 +819,20 @@ int cmd_metrics(testbed::Testbed& tb, bool json, bool prom) {
   }
 
   std::printf("%s", obs::MetricsRegistry::global().dump_table().c_str());
+  std::vector<obs::SpanRecord> lifecycle;
+  for (obs::SpanRecord& span : obs::TraceRecorder::global().spans()) {
+    if (span.subject == subject) lifecycle.push_back(std::move(span));
+  }
+  // The ring holds spans in close order; a lifecycle reads in start order.
+  std::stable_sort(lifecycle.begin(), lifecycle.end(),
+                   [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+                     return a.wall_start < b.wall_start;
+                   });
   std::printf("\nproxy lifecycle (%s):\n", subject.c_str());
-  for (const obs::TraceEvent& ev :
-       obs::TraceRecorder::global().timeline(subject)) {
-    std::printf("  %-22s wall=%10.6f s  vtime=%10.6f s\n", ev.name.c_str(),
-                ev.wall_s, ev.vtime_s);
+  for (const obs::SpanRecord& span : lifecycle) {
+    std::printf("  %-20s site=%-12s vtime=%10.6f s  dur=%10.6f s\n",
+                span.name.c_str(), span.site.c_str(), span.vtime_start,
+                span.vtime_end - span.vtime_start);
   }
   std::printf("\nrun `psctl metrics --json` for machine-readable output\n");
   return 0;

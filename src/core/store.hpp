@@ -190,7 +190,7 @@ class Store : public std::enable_shared_from_this<Store> {
     std::optional<T> value;
     {
       obs::SpanScope serde("store.deserialize", subject, "serde");
-      value.emplace(deserialize_value<T>(*data));
+      value.emplace(deserialize_value<T>(std::move(*data)));
     }
     cache_fill(cache_key, *value);
     return value;
@@ -225,7 +225,9 @@ class Store : public std::enable_shared_from_this<Store> {
       const auto it = inflight_.find(in_flight_key);
       if (it != inflight_.end()) {
         m.cache_misses.get().inc();
-        return std::any_cast<ps::core::Future<std::optional<T>>>(it->second);
+        ++it->second.joins;
+        return std::any_cast<ps::core::Future<std::optional<T>>>(
+            it->second.future);
       }
       // A fetch may have finished between the unlocked cache probe above and
       // taking this lock. Fetchers fill the cache *before* erasing their
@@ -236,7 +238,7 @@ class Store : public std::enable_shared_from_this<Store> {
         return make_ready_future(std::optional<T>(*cached));
       }
       m.cache_misses.get().inc();
-      inflight_.emplace(in_flight_key, std::any(promise.future()));
+      inflight_.emplace(in_flight_key, InFlight{promise.future()});
     }
     ps::core::Future<std::optional<Bytes>> raw = connector_->get_async(key);
     const auto complete = [this, cache_key, in_flight_key, promise, raw] {
@@ -315,8 +317,10 @@ class Store : public std::enable_shared_from_this<Store> {
       if (const auto it = inflight_.find(in_flight_key);
           it != inflight_.end()) {
         m.cache_misses.get().inc();
+        ++it->second.joins;
         joined.emplace_back(
-            i, std::any_cast<ps::core::Future<std::optional<T>>>(it->second));
+            i, std::any_cast<ps::core::Future<std::optional<T>>>(
+                   it->second.future));
         continue;
       }
       // Same completed-between-probe-and-lock re-check as get_async.
@@ -327,7 +331,7 @@ class Store : public std::enable_shared_from_this<Store> {
       }
       m.cache_misses.get().inc();
       Miss miss{i, keys[i], cache_key, {}};
-      inflight_.emplace(in_flight_key, std::any(miss.promise.future()));
+      inflight_.emplace(in_flight_key, InFlight{miss.promise.future()});
       first_miss.emplace(cache_key, misses.size());
       misses.push_back(std::move(miss));
     }
@@ -339,7 +343,7 @@ class Store : public std::enable_shared_from_this<Store> {
       try {
         // One pipelined round trip, charged to the calling thread — this is
         // where batched resolve beats N sequential gets.
-        const std::vector<std::optional<Bytes>> results =
+        std::vector<std::optional<Bytes>> results =
             connector_->get_batch(miss_keys);
         for (; done < misses.size(); ++done) {
           Miss& miss = misses[done];
@@ -355,11 +359,12 @@ class Store : public std::enable_shared_from_this<Store> {
           {
             obs::SpanScope serde("store.deserialize", miss.cache_key,
                                  "serde");
-            value.emplace(deserialize_value<T>(*results[done]));
+            value.emplace(deserialize_value<T>(std::move(*results[done])));
           }
           cache_fill(miss.cache_key, *value);
-          inflight_erase(in_flight_key);
-          miss.promise.set_value(value);  // joined waiters get their copy
+          // Joined waiters get their copy; with none, the promise (which
+          // nothing else can reach once the entry is gone) is dropped.
+          if (inflight_erase(in_flight_key) > 0) miss.promise.set_value(value);
         }
       } catch (...) {
         // Fail every promise not yet fulfilled so joined waiters unblock.
@@ -572,15 +577,18 @@ class Store : public std::enable_shared_from_this<Store> {
     cache_.put<T>(cache_key, std::make_shared<const T>(value));
   }
 
-  template <typename T>
-  T deserialize_value(BytesView data) {
+  /// Decodes with T's registered deserializer, which reads a view, or
+  /// with serde. Given the buffer itself (an rvalue), serde decodes a byte
+  /// payload in place instead of copying it out.
+  template <typename T, typename Data>
+  T deserialize_value(Data&& data) {
     if (const SerializerEntry* entry = find_serializer<T>()) {
       const auto& fn = std::any_cast<const std::function<T(BytesView)>&>(
           entry->deserializer);
-      return fn(data);
+      return fn(BytesView(data));
     }
     if constexpr (serde::Serializable<T>) {
-      return serde::from_bytes<T>(data);
+      return serde::from_bytes<T>(std::forward<Data>(data));
     } else {
       throw SerializationError(
           "Store: type has no serde codec and no registered serializer");
@@ -588,13 +596,23 @@ class Store : public std::enable_shared_from_this<Store> {
   }
 
   /// Single-flight table for async fetches: (canonical key, value type) →
-  /// std::any holding the ps::core::Future<std::optional<T>> every
-  /// concurrent getter of that object shares.
+  /// the ps::core::Future<std::optional<T>> (in a std::any) every
+  /// concurrent getter of that object shares, and how many callers joined
+  /// it besides the one fetching.
   using InFlightKey = std::pair<std::string, std::type_index>;
+  struct InFlight {
+    std::any future;
+    std::size_t joins = 0;
+  };
 
-  void inflight_erase(const InFlightKey& key) {
+  /// Removes a finished fetch; returns how many callers joined it.
+  std::size_t inflight_erase(const InFlightKey& key) {
     std::lock_guard lock(inflight_mu_);
-    inflight_.erase(key);
+    const auto it = inflight_.find(key);
+    if (it == inflight_.end()) return 0;
+    const std::size_t joins = it->second.joins;
+    inflight_.erase(it);
+    return joins;
   }
 
   static void count_put(std::size_t bytes) {
@@ -612,7 +630,7 @@ class Store : public std::enable_shared_from_this<Store> {
   /// Set (never cleared) by the first register_serializer.
   std::atomic<bool> has_serializers_{false};
   mutable std::mutex inflight_mu_;
-  std::map<InFlightKey, std::any> inflight_;
+  std::map<InFlightKey, InFlight> inflight_;
   std::atomic<bool> closed_{false};
 };
 

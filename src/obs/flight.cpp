@@ -77,10 +77,6 @@ bool FlightRecorder::dump(const std::string& path, const Snapshot& snap) {
   return static_cast<bool>(file);
 }
 
-bool FlightRecorder::dump(const std::string& path) const {
-  return dump(path, latest_or_live());
-}
-
 void FlightRecorder::clear() {
   std::lock_guard lock(mu_);
   snapshots_.clear();

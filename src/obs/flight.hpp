@@ -66,9 +66,6 @@ class FlightRecorder {
   /// Writes dump_json(snap) to `path`; false when unwritable.
   static bool dump(const std::string& path, const Snapshot& snap);
 
-  /// dump(path, latest_or_live()).
-  bool dump(const std::string& path) const;
-
   /// Drops retained snapshots (tests, multi-run tools).
   void clear();
 

@@ -146,6 +146,25 @@ T from_bytes(BytesView data) {
   return value;
 }
 
+/// from_bytes over a buffer the caller gives up. A std::string payload is
+/// decoded in place: the bytes move down over the length prefix and the
+/// same buffer comes back, so a bulk read never allocates a second copy.
+/// Every other type decodes from the view.
+template <typename T>
+T from_bytes(Bytes&& data) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    Reader r(data);
+    const std::size_t n = r.read_len();
+    if (n != r.remaining()) {
+      throw SerializationError("serde: trailing bytes after decode");
+    }
+    data.erase(0, sizeof(std::uint64_t));
+    return std::move(data);
+  } else {
+    return from_bytes<T>(BytesView(data));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Built-in codecs.
 // ---------------------------------------------------------------------------

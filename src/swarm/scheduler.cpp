@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/hash.hpp"
+#include "common/parallel.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "sim/vtime.hpp"
@@ -207,7 +208,7 @@ void ChunkScheduler::run_wave(
       std::lock_guard lock(mu_);
       ++pending_;
     }
-    executor_.submit([this, b, floor, repair_job, &slots, &buffer] {
+    executor_.submit([this, b, floor, repair_job, &slots] {
       WaveSlot& slot = slots[b];
       {
         // A wave continues the backend's pipeline: it cannot start before
@@ -223,37 +224,28 @@ void ChunkScheduler::run_wave(
         for (const std::size_t c : slot.chunks) {
           keys.push_back(chunk_key(manifest_.chunks[c].hash));
         }
-        std::vector<std::optional<Bytes>> values;
         try {
           // Completion-driven fetch: kv backends issue the batch onto their
           // pipelined channel and the wave merges that request's own
-          // completion vtime (get() == wait + copy). Connectors without a
-          // native override fall back to the executor adapter — either way
-          // the wave's clock lands on the batch's wire completion.
-          values = backends_[b].connector->get_batch_async(keys).get();
+          // completion vtime (wait()). Connectors without a native override
+          // fall back to the executor adapter — either way the wave's clock
+          // lands on the batch's wire completion. The slot keeps the future,
+          // so the batch is read in place, never copied.
+          slot.fetch = backends_[b].connector->get_batch_async(keys);
+          slot.values = &slot.fetch.wait();
         } catch (...) {
           slot.failed = true;
         }
-        slot.status.assign(slot.chunks.size(), ChunkStatus::kMissing);
-        if (!slot.failed) {
+        // Verification is real compute on the resolve path: it is charged
+        // here, on the fetching backend's clock, chunk by chunk; the hashing
+        // itself runs once the wave joins.
+        if (!slot.failed && options_.hash_Bps > 0) {
           for (std::size_t i = 0; i < slot.chunks.size(); ++i) {
-            const ChunkRef& ref = manifest_.chunks[slot.chunks[i]];
-            if (!values[i].has_value()) continue;
-            // Verification is real compute on the resolve path.
-            if (options_.hash_Bps > 0) {
-              sim::vadvance(static_cast<double>(values[i]->size()) /
+            const std::optional<Bytes>& value = (*slot.values)[i];
+            if (value) {
+              sim::vadvance(static_cast<double>(value->size()) /
                             options_.hash_Bps);
             }
-            if (values[i]->size() != ref.size ||
-                Sha256::hex_digest(*values[i]) != ref.hash) {
-              slot.status[i] = ChunkStatus::kCorrupt;
-              continue;
-            }
-            slot.status[i] = ChunkStatus::kOk;
-            // Disjoint manifest offsets: concurrent completions reassemble
-            // into the shared buffer without locking.
-            std::memcpy(buffer.data() + ref.offset, values[i]->data(),
-                        ref.size);
           }
         }
         slot.end_vtime = sim::vnow();
@@ -267,6 +259,30 @@ void ChunkScheduler::run_wave(
     std::unique_lock lock(mu_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
+
+  // Verify and place every fetched chunk on all cores. Each chunk of a wave
+  // has its own manifest offset, so the copies write disjoint ranges.
+  std::vector<std::pair<std::size_t, std::size_t>> fetched;  // (slot, i)
+  for (std::size_t b = 0; b < backends_.size(); ++b) {
+    WaveSlot& slot = slots[b];
+    slot.status.assign(slot.chunks.size(), ChunkStatus::kMissing);
+    if (slot.failed || slot.chunks.empty()) continue;
+    for (std::size_t i = 0; i < slot.chunks.size(); ++i) {
+      if ((*slot.values)[i]) fetched.emplace_back(b, i);
+    }
+  }
+  parallel_for(0, fetched.size(), [&](std::size_t k) {
+    const auto [b, i] = fetched[k];
+    WaveSlot& slot = slots[b];
+    const Bytes& value = *(*slot.values)[i];
+    const ChunkRef& ref = manifest_.chunks[slot.chunks[i]];
+    if (value.size() != ref.size || Sha256::hex_digest(value) != ref.hash) {
+      slot.status[i] = ChunkStatus::kCorrupt;
+      return;
+    }
+    slot.status[i] = ChunkStatus::kOk;
+    std::memcpy(buffer.data() + ref.offset, value.data(), ref.size);
+  });
 
   // Deadline reference: the best per-byte rate any backend demonstrated in
   // this wave. With fewer than two healthy participants there is nothing to

@@ -23,10 +23,12 @@
 //     replica, in which case the late arrival is accepted and counted.
 //
 // A chunk whose every replica has been tried and failed makes the payload
-// unrecoverable (run() returns nullopt). Completed chunks are memcpy'd
-// into one preallocated reassembly buffer at their manifest offsets —
-// concurrent completions write disjoint ranges (the tier-2 TSan test races
-// this on purpose).
+// unrecoverable (run() returns nullopt). A wave job only fetches and
+// charges the verification's virtual time; once the wave joins, every
+// fetched chunk is hashed and memcpy'd into one preallocated reassembly
+// buffer at its manifest offset on all cores at once (parallel_for) —
+// chunks write disjoint ranges (the tier-2 TSan test races this on
+// purpose).
 #pragma once
 
 #include <condition_variable>
@@ -94,6 +96,11 @@ class ChunkScheduler {
     std::uint64_t bytes = 0;
     double issue_vtime = 0.0;  // job start after frontier/floor merge
     double end_vtime = 0.0;    // job's vnow after fetch + verification
+    /// The batch fetch, which owns the fetched values. Verification reads
+    /// them through `values`, never through fetch.wait(): that would merge
+    /// the fetch's vtime into the verifying thread.
+    core::Future<std::vector<std::optional<Bytes>>> fetch;
+    const std::vector<std::optional<Bytes>>* values = nullptr;
     std::vector<ChunkStatus> status;
     bool failed = false;  // the backend threw; treat as all-missing + dead
   };
@@ -130,8 +137,9 @@ class ChunkScheduler {
 
   /// Issues one pipelined get_batch per assigned backend (each job spans
   /// "swarm.fetch", or "swarm.repair.fetch" when it carries a re-request),
-  /// joins them, and runs the deterministic post-mortem. Chunks to
-  /// re-request are appended to `repairs`.
+  /// joins them, verifies and places the fetched chunks, and runs the
+  /// deterministic post-mortem. Chunks to re-request are appended to
+  /// `repairs`.
   void run_wave(const std::vector<std::vector<std::size_t>>& assignment,
                 Bytes& buffer, std::vector<std::size_t>& repairs);
 

@@ -487,10 +487,43 @@ std::uint64_t store_counter(const char* name) {
   return obs::MetricsRegistry::global().counter(name).value();
 }
 
+constexpr int kBatchThreads = 3;
+constexpr int kSingleThreads = 3;
+
+/// Races kBatchThreads resolve_batch threads and kSingleThreads get_async
+/// threads over all of `keys` on `store`; returns how many values came back
+/// wrong.
+int race_batch_and_single_fetches(Store& store, proc::Process& process,
+                                  const std::vector<Key>& keys,
+                                  const std::vector<std::string>& expected) {
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kBatchThreads; ++t) {
+    threads.emplace_back([&] {
+      proc::ProcessScope scope(process);
+      const std::vector<std::optional<std::string>> values =
+          store.resolve_batch<std::string>(keys);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (!values[i] || *values[i] != expected[i]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (int t = 0; t < kSingleThreads; ++t) {
+    threads.emplace_back([&] {
+      proc::ProcessScope scope(process);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::optional<std::string> value =
+            store.get_async<std::string>(keys[i]).get();
+        if (!value || *value != expected[i]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return mismatches.load();
+}
+
 TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
   constexpr int kObjects = 8;
-  constexpr int kBatchThreads = 3;
-  constexpr int kSingleThreads = 3;
   std::atomic<int> deserializations{0};
   auto store =
       counting_store("async-flight", std::make_shared<AdapterConnector>(),
@@ -508,35 +541,8 @@ TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
 
   const std::uint64_t gets_before = store_counter("store.gets");
   const std::uint64_t hits_before = store_counter("store.cache.hits");
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kBatchThreads; ++t) {
-    threads.emplace_back([&] {
-      proc::ProcessScope scope(*process_);
-      const std::vector<std::optional<std::string>> values =
-          store->resolve_batch<std::string>(keys);
-      for (int i = 0; i < kObjects; ++i) {
-        const auto index = static_cast<std::size_t>(i);
-        if (!values[index] || *values[index] != expected[index]) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (int t = 0; t < kSingleThreads; ++t) {
-    threads.emplace_back([&] {
-      proc::ProcessScope scope(*process_);
-      for (int i = 0; i < kObjects; ++i) {
-        const auto index = static_cast<std::size_t>(i);
-        const std::optional<std::string> value =
-            store->get_async<std::string>(keys[index]).get();
-        if (!value || *value != expected[index]) mismatches.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(race_batch_and_single_fetches(*store, *process_, keys, expected),
+            0);
   // Single-flight: no matter how the six threads interleave, each object
   // crosses the deserializer exactly once and lands in the cache.
   EXPECT_EQ(deserializations.load(), kObjects);
@@ -547,6 +553,27 @@ TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
                       (kBatchThreads + kSingleThreads) * kObjects));
   EXPECT_EQ(store->cache().evictions(), 0u);  // capacity 64 never pressured
   EXPECT_LE(cache_hits, gets - static_cast<std::uint64_t>(kObjects));
+}
+
+TEST_F(AsyncTest, ConcurrentSerdeFetchesWithoutCacheAllMatch) {
+  // The serde path decodes each fetched buffer in place, and resolve_batch
+  // copies a value into its single-flight promise only when a caller
+  // joined the fetch: every racing reader must still see every value.
+  constexpr int kObjects = 8;
+  auto store = std::make_shared<Store>(
+      "async-flight-serde", std::make_shared<AdapterConnector>(),
+      Store::Options{.cache_size = 0});
+  std::vector<Key> keys;
+  std::vector<std::string> expected;
+  {
+    proc::ProcessScope scope(*process_);
+    for (int i = 0; i < kObjects; ++i) {
+      expected.push_back(pattern_bytes(4096, static_cast<std::uint64_t>(i)));
+      keys.push_back(store->put(expected.back()));
+    }
+  }
+  EXPECT_EQ(race_batch_and_single_fetches(*store, *process_, keys, expected),
+            0);
 }
 
 TEST_F(AsyncTest, ResolveBatchDedupsRepeatsAndReportsMisses) {

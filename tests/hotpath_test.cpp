@@ -4,8 +4,9 @@
 // allocations and bytes. Dereferencing a resolved proxy, updating a metric
 // through its handle, probing the object cache, and opening a span while
 // tracing is off each run several times per task hand-off; none of them may
-// touch the heap. A kv read copies its value once, and instrumentation adds
-// no allocation to a kv request.
+// touch the heap. A kv read copies its value once, a cache-off Store read
+// decodes that copy in place, and instrumentation adds no allocation to a
+// kv request.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,9 +15,11 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "connectors/local.hpp"
+#include "connectors/redis.hpp"
 #include "core/cache.hpp"
 #include "core/proxy.hpp"
 #include "core/store.hpp"
@@ -129,6 +132,15 @@ class KvHotPath : public ::testing::Test {
         server_(kv::KvServer::start(*world_, "localhost", "hot")),
         client_(kv::kv_address("localhost", "hot")) {}
 
+  /// A cache-off Store over the fixture's server.
+  std::shared_ptr<core::Store> uncached_store(const std::string& name) {
+    return std::make_shared<core::Store>(
+        name,
+        std::make_shared<connectors::RedisConnector>(
+            kv::kv_address("localhost", "hot")),
+        core::Store::Options{.cache_size = 0});
+  }
+
   std::unique_ptr<proc::World> world_;
   proc::ProcessScope scope_;
   std::shared_ptr<kv::KvServer> server_;
@@ -145,6 +157,38 @@ TEST_F(KvHotPath, GetCopiesTheValueOnce) {
   ASSERT_EQ(got, value);
   // One 1 MiB copy for the reply; sizing the response must not copy.
   EXPECT_LT(allocated, (3u << 20) / 2);
+}
+
+TEST_F(KvHotPath, StoreGetDecodesTheReplyInPlace) {
+  const std::shared_ptr<core::Store> store = uncached_store("kv-hot-get");
+  const Bytes value = pattern_bytes(1 << 20, 5);
+  const core::Key key = store->put(value);
+  ASSERT_EQ(store->get<Bytes>(key), value);  // warms the channel and handles
+  const std::uint64_t before = t_allocated_bytes;
+  const std::optional<Bytes> got = store->get<Bytes>(key);
+  const std::uint64_t allocated = t_allocated_bytes - before;
+  ASSERT_EQ(got, value);
+  // The kv reply is the one 1 MiB buffer; the decode reuses it.
+  EXPECT_LT(allocated, (3u << 20) / 2);
+}
+
+TEST_F(KvHotPath, ResolveBatchCopiesNothingIntoUnjoinedPromises) {
+  const std::shared_ptr<core::Store> store = uncached_store("kv-hot-batch");
+  std::vector<Bytes> values;
+  std::vector<core::Key> keys;
+  for (int i = 0; i < 4; ++i) {
+    values.push_back(pattern_bytes(1 << 20, 10 + i));
+    keys.push_back(store->put(values.back()));
+  }
+  ASSERT_EQ(store->resolve_batch<Bytes>(keys)[0], values[0]);  // warms
+  const std::uint64_t before = t_allocated_bytes;
+  const std::vector<std::optional<Bytes>> got =
+      store->resolve_batch<Bytes>(keys);
+  const std::uint64_t allocated = t_allocated_bytes - before;
+  for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], values[i]);
+  // One kv reply per key, each decoded in place; no caller joined these
+  // fetches, so no value is copied into a single-flight promise.
+  EXPECT_LT(allocated, 5u << 20);
 }
 
 TEST_F(KvHotPath, InstrumentationAddsNoAllocationToARequest) {

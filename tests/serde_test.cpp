@@ -152,6 +152,49 @@ TEST(Serde, HugeLengthPrefixRejected) {
   EXPECT_THROW(from_bytes<std::string>(w.buffer()), SerializationError);
 }
 
+TEST(Serde, OwnedStringDecodesInPlace) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kMiB}) {
+    const Bytes encoded = to_bytes(pattern_bytes(n, n));
+    Bytes owned = encoded;
+    const char* buffer = owned.data();
+    const std::string decoded = from_bytes<std::string>(std::move(owned));
+    EXPECT_EQ(decoded, from_bytes<std::string>(BytesView(encoded)))
+        << "n=" << n;
+    // The payload comes back in the buffer it arrived in, not a copy.
+    if (n == kMiB) {
+      EXPECT_EQ(decoded.data(), buffer);
+    }
+  }
+}
+
+/// The SerializationError message `decode` throws ("none" if it returns).
+template <typename F>
+std::string decode_error(F&& decode) {
+  try {
+    (void)decode();
+  } catch (const SerializationError& e) {
+    return e.what();
+  }
+  return "none";
+}
+
+TEST(Serde, OwnedStringRejectsWhatTheViewRejects) {
+  Writer long_prefix;
+  long_prefix.write_scalar<std::uint64_t>(9);
+  long_prefix.write_raw("abc", 3);
+  const Bytes bad[] = {Bytes(7, '\0'), long_prefix.buffer(),
+                       to_bytes(std::string("abc")) + "x"};
+  for (const Bytes& data : bad) {
+    const std::string expected =
+        decode_error([&] { return from_bytes<std::string>(BytesView(data)); });
+    EXPECT_NE(expected, "none");
+    EXPECT_EQ(
+        decode_error([&] { return from_bytes<std::string>(Bytes(data)); }),
+        expected);
+  }
+}
+
 TEST(Serde, SerializableConcept) {
   static_assert(Serializable<int>);
   static_assert(Serializable<std::string>);

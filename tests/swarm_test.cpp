@@ -326,8 +326,9 @@ TEST(SwarmConnector, ConfigReconstructsEquivalentConnector) {
 
 TEST(SwarmConcurrency, ConcurrentChunkCompletionsShareOneBuffer) {
   // Many small chunks + a deep pipeline: chunk fetch jobs complete
-  // concurrently on the private executor and memcpy into disjoint ranges
-  // of one reassembly buffer. TSan must see no race.
+  // concurrently on the private executor, and each wave's verify pass
+  // hashes their values and memcpy's them into disjoint ranges of one
+  // reassembly buffer on all cores. TSan must see no race.
   SwarmEnv env;
   std::vector<Backend> backends;
   for (std::size_t b = 0; b < env.faults.size(); ++b) {

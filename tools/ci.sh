@@ -5,24 +5,27 @@
 #      concurrency-sensitive tests (`ctest -L tier2`);
 #   2a. asan-ubsan: ASan+UBSan build (-DPS_SANITIZE=address,undefined, UB
 #      fatal, libstdc++ assertions on) running hash_test, parallel_test,
-#      swarm_test, core_test, async_test, connectors_test, obs_test,
-#      obs_golden_test, telemetry_test and stream_test — the SHA-NI
-#      intrinsics, the shared parallel-loop helpers behind manifest
-#      hashing, the checks on manifests read back from backends, the Store
-#      read paths, the lifetimes behind the lock-free proxy fast path,
-#      cache entries destroyed after unlocking and shared connector
-#      payloads, every connector's vtable and batch and async laws (five
-#      of them through the shared executor's worker threads), the obs JSON
-#      reader, which parses bench artifacts from disk, with the exporters
-#      and snapshot merges it reads back, every obs emitter over hostile
-#      names, and the stream producer/consumer and kv broker paths;
+#      serde_test, swarm_test, core_test, async_test, connectors_test,
+#      obs_test, obs_golden_test, telemetry_test and stream_test — the
+#      SHA-NI intrinsics, the shared parallel-loop helpers behind manifest
+#      hashing and swarm chunk verification, the in-place decode that moves
+#      a payload within the caller's buffer, the checks on manifests read
+#      back from backends, the Store read paths, the lifetimes behind the
+#      lock-free proxy fast path, cache entries destroyed after unlocking
+#      and shared connector payloads, every connector's vtable and batch
+#      and async laws (five of them through the shared executor's worker
+#      threads), the obs JSON reader, which parses bench artifacts from
+#      disk, with the exporters and snapshot merges it reads back, every
+#      obs emitter over hostile names, and the stream producer/consumer
+#      and kv broker paths;
 #   2b. perfbench-selftest: the repo benchmark's self-test
 #      (`perfbench/run.py --selftest`) — every op's bytes are checked on
 #      all three workloads, a wrong expected fingerprint must be counted,
 #      and the same seed must give bit-identical op vtime;
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics` the demo proxy's
-#      lifecycle spans, `psctl metrics --prom` a Prometheus snapshot, and
+#      lifecycle spans (its cross-site resolve with a nonzero duration),
+#      `psctl metrics --prom` a Prometheus snapshot, and
 #      `psctl stream stats` a per-topic table with the expected demo-topic
 #      rows;
 #   4. bench-smoke: fast deterministic benches rerun with --json (each with
@@ -82,9 +85,9 @@ else
   echo "==> tier-2: skipped (--skip-tsan)"
 fi
 
-echo "==> asan-ubsan: ASan + UBSan on hash, parallel, swarm, core, async," \
-  "connectors, obs, obs_golden, telemetry, stream"
-ASAN_TESTS=(hash_test parallel_test swarm_test core_test async_test
+echo "==> asan-ubsan: ASan + UBSan on hash, parallel, serde, swarm, core," \
+  "async, connectors, obs, obs_golden, telemetry, stream"
+ASAN_TESTS=(hash_test parallel_test serde_test swarm_test core_test async_test
   connectors_test obs_test obs_golden_test telemetry_test stream_test)
 cmake -B build-asan -S . -DPS_SANITIZE=address,undefined \
   -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
@@ -110,11 +113,12 @@ grep -q '"ph":"X"' "${TRACE_OUT}"
 # buffer.
 # The demo proxy's lifecycle is its spans: the table form must list the
 # creating store.proxy span and the consumer's proxy.resolve span under
-# the lifecycle heading.
+# the lifecycle heading, and the cross-site resolve must cost virtual time.
 METRICS_TABLE="$(./build/tools/psctl metrics)"
 LIFECYCLE="$(sed -n '/^proxy lifecycle (/,/^$/p' <<<"${METRICS_TABLE}")"
 grep -q '^  store\.proxy ' <<<"${LIFECYCLE}"
 grep -q '^  proxy\.resolve ' <<<"${LIFECYCLE}"
+grep -qE '^  proxy\.resolve .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
 PROM_SNAPSHOT="$(./build/tools/psctl metrics --prom)"
 grep -q '^# TYPE ps_' <<<"${PROM_SNAPSHOT}"
 # The new summary exposition must be present alongside counters/gauges.

@@ -495,10 +495,11 @@ int cmd_bench_diff(const std::string& base_path, const std::string& cand_path,
 }
 
 // Exercises instrumented local- and file-connector stores (puts, gets,
-// exists, batched/async resolves, a cross-process proxy resolve) so the
-// registry and trace recorder have something to show. Returns nonzero on a
-// demo failure; on success `subject` (when non-null) receives the trace
-// subject of the demo proxy whose lifecycle landed in the recorder.
+// exists, batched/async resolves) and a cross-site proxy resolve through a
+// kv store, so the registry and trace recorder have something to show.
+// Returns nonzero on a demo failure; on success `subject` (when non-null)
+// receives the trace subject of the demo proxy whose lifecycle landed in
+// the recorder.
 int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
   obs::set_enabled(true);
   obs::TraceRecorder::global().set_enabled(true);
@@ -568,11 +569,17 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       for (auto& pending : ladder) pending.wait();
     }
 
-    // One proxy resolved in a different simulated process: its lifecycle
-    // spans (store.proxy -> proxy.resolve -> store.cache.probe ->
-    // store.deserialize) land in the trace recorder under one trace.
-    core::Proxy<std::string> p = local->proxy(std::string("traced-object"));
-    subject = core::trace_subject(local->name(),
+    // One proxy minted on the kv server above and resolved in a different
+    // simulated process: the consumer on another site pays a WAN round
+    // trip, and the lifecycle spans (store.proxy -> proxy.resolve ->
+    // store.cache.probe -> store.deserialize) land in the trace recorder
+    // under one trace.
+    auto kv_store = std::make_shared<core::Store>(
+        "psctl-kv", std::make_shared<connectors::RedisConnector>(
+                        kv::kv_address(tb.theta_compute0, "psctl-rpc-demo")));
+    core::Proxy<std::string> p =
+        kv_store->proxy(std::string("traced-object"));
+    subject = core::trace_subject(kv_store->name(),
                                   p.factory().descriptor()->key);
     const Bytes wire = serde::to_bytes(p);
     {

@@ -1,10 +1,10 @@
 // AsyncExecutor: the bounded worker pool behind every *_async operation.
 //
 // Replaces the unbounded thread-per-op std::async pattern: all background
-// work in the resolve path — connector sync-op adapters, async proxy
-// resolution, prefetch — runs on one shared pool with a bounded submission
-// queue (submit() blocks when full, back-pressuring producers instead of
-// growing without limit).
+// work in the resolve path — connector sync-op adapters and async proxy
+// resolution — runs on one shared pool with a bounded submission queue
+// (submit() blocks when full, back-pressuring producers instead of growing
+// without limit).
 //
 // Jobs carry their submitter's context: the worker enters the submitting
 // thread's simulated process (ProcessScope) and seeds its virtual clock

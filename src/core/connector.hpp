@@ -134,11 +134,12 @@ class Connector {
 
   // -- asynchronous protocol ------------------------------------------------
   //
-  // Reads have futures-based twins: get_async serves Store::get_async and
-  // get_batch_async serves swarm chunk waves. The defaults adapt the sync op
-  // through the shared bounded AsyncExecutor — existing connectors work
-  // unchanged — while natively non-blocking channels override them to
-  // pipeline without an executor hop (LocalConnector completes inline).
+  // Reads have futures-based twins: get_async serves bench/micro_rpc's
+  // in-flight ladder and get_batch_async serves swarm chunk waves. The
+  // defaults adapt the sync op through the shared bounded AsyncExecutor —
+  // existing connectors work unchanged — while natively non-blocking
+  // channels override them to pipeline without an executor hop
+  // (LocalConnector completes inline).
   // Writes, probes and evictions are synchronous only. The sync verbs are
   // the virtual primitives, and get_async is not derived from
   // get_batch_async: a one-key batch is charged as a batch, not as a get.

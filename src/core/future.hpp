@@ -1,15 +1,15 @@
 // Completion-callback promise/future for the asynchronous operation core.
 //
-// ps::core::Future<T> is the result handle every *_async Connector/Store
+// ps::core::Future<T> is the result handle every *_async Connector
 // operation returns. Unlike std::future it is built for the simulation's
 // virtual-time model: the completing thread stamps its virtual "now" into
 // the shared state, and every waiter merges that stamp into its own clock
 // (`sim::vmerge`) — so communication started in the background overlaps
 // computation, and the eventual wait observes max(compute, transfer), the
-// paper's §5.3 async-resolve semantics. Completion callbacks (`on_ready`,
-// `then`) run on the completing thread, which keeps continuation costs
-// charged to the operation that caused them; no thread is ever spawned
-// here (see core/async.hpp for the bounded executor that runs the work).
+// paper's §5.3 async-resolve semantics. Completion callbacks (`on_ready`)
+// run on the completing thread, which keeps continuation costs charged to
+// the operation that caused them; no thread is ever spawned here (see
+// core/async.hpp for the bounded executor that runs the work).
 //
 // Futures are copyable; copies share one state, and any number of threads
 // may wait on it (each merges the completion vtime). Values are returned
@@ -22,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -137,31 +136,6 @@ class Future {
     fn();
   }
 
-  /// Derived future: applies `fn` to the value on the completing thread
-  /// (so continuation cost is charged where the operation finished) and
-  /// completes the returned future with the result. Errors pass through;
-  /// a throwing `fn` fails the derived future.
-  template <typename F>
-  auto then(F fn) const -> Future<std::invoke_result_t<F, const T&>> {
-    using R = std::invoke_result_t<F, const T&>;
-    check_valid();
-    Promise<R> promise;
-    Future<R> derived = promise.future();
-    auto state = state_;
-    on_ready([state, promise, fn = std::move(fn)]() mutable {
-      if (state->error) {
-        promise.set_error(state->error);
-        return;
-      }
-      try {
-        promise.set_value(fn(*state->value));
-      } catch (...) {
-        promise.set_error(std::current_exception());
-      }
-    });
-    return derived;
-  }
-
   /// True when `other` shares this future's state (same operation).
   bool same_state(const Future& other) const {
     return state_ == other.state_;
@@ -204,8 +178,8 @@ class Promise {
 };
 
 /// A future already completed with `value` at the caller's current virtual
-/// time — what natively-synchronous fast paths (in-memory connectors, cache
-/// hits) return so async callers pay no executor round trip.
+/// time — what natively-synchronous fast paths (in-memory connectors)
+/// return so async callers pay no executor round trip.
 template <typename T>
 Future<T> make_ready_future(T value) {
   Promise<T> promise;

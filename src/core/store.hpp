@@ -13,11 +13,11 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <typeindex>
 #include <unordered_map>
@@ -29,7 +29,6 @@
 #include "core/cache.hpp"
 #include "core/connector.hpp"
 #include "core/factory.hpp"
-#include "core/future.hpp"
 #include "core/key.hpp"
 #include "core/proxy.hpp"
 #include "obs/context.hpp"
@@ -164,8 +163,8 @@ class Store : public std::enable_shared_from_this<Store> {
 
   /// Retrieves and deserializes the object, consulting the cache first.
   /// Returns nullopt when the object does not exist. With tracing enabled,
-  /// the cache probe and the deserialization are spans under the (store,
-  /// key) trace subject.
+  /// the cache probe, the connector fetch and the deserialization are spans
+  /// under the (store, key) trace subject.
   template <typename T>
   std::optional<T> get(const Key& key) {
     check_open();
@@ -184,218 +183,72 @@ class Store : public std::enable_shared_from_this<Store> {
       }
     }
     m.cache_misses.get().inc();
-    std::optional<Bytes> data = connector_->get(key);
+    std::optional<Bytes> data;
+    {
+      obs::SpanScope fetch("store.fetch", subject, "wire-transfer");
+      data = connector_->get(key);
+    }
     if (!data) return std::nullopt;
-    m.get_bytes.get().inc(data->size());
-    std::optional<T> value;
-    {
-      obs::SpanScope serde("store.deserialize", subject, "serde");
-      value.emplace(deserialize_value<T>(std::move(*data)));
-    }
-    cache_fill(cache_key, *value);
-    return value;
-  }
-
-  // -- asynchronous operations -------------------------------------------
-  //
-  // Futures-based twins of get, built on the connector's async protocol.
-  // Fetches are single-flight per (key, type): concurrent get_async /
-  // resolve_batch callers for the same object share one connector fetch and
-  // one deserialization — the deserialized-object cache is filled exactly
-  // once, and every waiter merges the fetch's virtual completion time.
-  // Lifetime: the store must outlive any future it returned.
-
-  /// Begins retrieving and deserializing the object. Cache hits complete
-  /// inline; misses ride Connector::get_async and deserialize on the
-  /// completing thread.
-  template <typename T>
-  ps::core::Future<std::optional<T>> get_async(const Key& key) {
-    check_open();
-    const detail::StoreInstruments& m = detail::store_instruments();
-    m.gets.get().inc();
-    const std::string cache_key = key.canonical();
-    if (auto cached = cache_.get<T>(cache_key)) {
-      m.cache_hits.get().inc();
-      return make_ready_future(std::optional<T>(*cached));
-    }
-    const InFlightKey in_flight_key{cache_key, std::type_index(typeid(T))};
-    Promise<std::optional<T>> promise;
-    {
-      std::lock_guard lock(inflight_mu_);
-      const auto it = inflight_.find(in_flight_key);
-      if (it != inflight_.end()) {
-        m.cache_misses.get().inc();
-        ++it->second.joins;
-        return std::any_cast<ps::core::Future<std::optional<T>>>(
-            it->second.future);
-      }
-      // A fetch may have finished between the unlocked cache probe above and
-      // taking this lock. Fetchers fill the cache *before* erasing their
-      // in-flight entry (which requires this lock), so re-probing here keeps
-      // the exactly-one-deserialization-per-key guarantee airtight.
-      if (auto cached = cache_.get<T>(cache_key)) {
-        m.cache_hits.get().inc();
-        return make_ready_future(std::optional<T>(*cached));
-      }
-      m.cache_misses.get().inc();
-      inflight_.emplace(in_flight_key, InFlight{promise.future()});
-    }
-    ps::core::Future<std::optional<Bytes>> raw = connector_->get_async(key);
-    const auto complete = [this, cache_key, in_flight_key, promise, raw] {
-      try {
-        const std::optional<Bytes>& data = raw.wait();  // ready: no blocking
-        if (!data) {
-          inflight_erase(in_flight_key);
-          promise.set_value(std::nullopt);
-          return;
-        }
-        detail::store_instruments().get_bytes.get().inc(data->size());
-        std::optional<T> value;
-        {
-          obs::SpanScope serde("store.deserialize", cache_key, "serde");
-          value.emplace(deserialize_value<T>(*data));
-        }
-        cache_fill(cache_key, *value);
-        inflight_erase(in_flight_key);
-        promise.set_value(std::move(value));
-      } catch (...) {
-        inflight_erase(in_flight_key);
-        promise.set_error(std::current_exception());
-      }
-    };
-    if (raw.ready()) {
-      // Completion-driven connectors (kv, endpoint) return an already-ready
-      // future stamped at the request's pipelined completion vtime. Run the
-      // continuation at that time — not the issuing clock — so the fetch's
-      // cost lands in the derived future and the caller keeps overlapping.
-      const sim::SimTime resume = sim::vnow();
-      sim::vset(raw.done_vtime());
-      complete();
-      sim::vset(resume);
-    } else {
-      raw.on_ready(complete);
-    }
-    return promise.future();
+    return decode_and_fill<T>(cache_key, subject, std::move(*data));
   }
 
   /// Retrieves many objects in one pipelined connector round trip
-  /// (Connector::get_batch), position-for-position. Batch-internal
-  /// duplicates and fetches already in flight are deduplicated; each
-  /// missing object yields nullopt.
+  /// (Connector::get_batch), position-for-position: the distinct cache
+  /// misses are fetched in first-occurrence order, a key repeated in the
+  /// batch is fetched once, and each missing object yields nullopt.
   template <typename T>
   std::vector<std::optional<T>> resolve_batch(const std::vector<Key>& keys) {
     check_open();
+    const detail::StoreInstruments& m = detail::store_instruments();
     std::vector<std::optional<T>> out(keys.size());
     struct Miss {
-      std::size_t index;
-      Key key;
+      std::size_t index;  // first position of the key in `keys`
       std::string cache_key;
-      Promise<std::optional<T>> promise;
     };
     std::vector<Miss> misses;
-    std::vector<std::pair<std::size_t, ps::core::Future<std::optional<T>>>>
-        joined;
     std::vector<std::pair<std::size_t, std::size_t>> aliases;  // i → miss pos
     std::unordered_map<std::string, std::size_t> first_miss;
-    const detail::StoreInstruments& m = detail::store_instruments();
     for (std::size_t i = 0; i < keys.size(); ++i) {
       m.gets.get().inc();
-      const std::string cache_key = keys[i].canonical();
-      if (auto cached = cache_.get<T>(cache_key)) {
-        m.cache_hits.get().inc();
-        out[i] = *cached;
-        continue;
-      }
-      if (const auto dup = first_miss.find(cache_key);
-          dup != first_miss.end()) {
-        m.cache_misses.get().inc();
-        aliases.emplace_back(i, dup->second);
-        continue;
-      }
-      const InFlightKey in_flight_key{cache_key, std::type_index(typeid(T))};
-      std::lock_guard lock(inflight_mu_);
-      if (const auto it = inflight_.find(in_flight_key);
-          it != inflight_.end()) {
-        m.cache_misses.get().inc();
-        ++it->second.joins;
-        joined.emplace_back(
-            i, std::any_cast<ps::core::Future<std::optional<T>>>(
-                   it->second.future));
-        continue;
-      }
-      // Same completed-between-probe-and-lock re-check as get_async.
+      std::string cache_key = keys[i].canonical();
       if (auto cached = cache_.get<T>(cache_key)) {
         m.cache_hits.get().inc();
         out[i] = *cached;
         continue;
       }
       m.cache_misses.get().inc();
-      Miss miss{i, keys[i], cache_key, {}};
-      inflight_.emplace(in_flight_key, InFlight{miss.promise.future()});
-      first_miss.emplace(cache_key, misses.size());
-      misses.push_back(std::move(miss));
-    }
-    if (!misses.empty()) {
-      std::vector<Key> miss_keys;
-      miss_keys.reserve(misses.size());
-      for (const Miss& miss : misses) miss_keys.push_back(miss.key);
-      std::size_t done = 0;
-      try {
-        // One pipelined round trip, charged to the calling thread — this is
-        // where batched resolve beats N sequential gets.
-        std::vector<std::optional<Bytes>> results =
-            connector_->get_batch(miss_keys);
-        for (; done < misses.size(); ++done) {
-          Miss& miss = misses[done];
-          const InFlightKey in_flight_key{miss.cache_key,
-                                          std::type_index(typeid(T))};
-          if (!results[done]) {
-            inflight_erase(in_flight_key);
-            miss.promise.set_value(std::nullopt);
-            continue;
-          }
-          m.get_bytes.get().inc(results[done]->size());
-          std::optional<T>& value = out[miss.index];
-          {
-            obs::SpanScope serde("store.deserialize", miss.cache_key,
-                                 "serde");
-            value.emplace(deserialize_value<T>(std::move(*results[done])));
-          }
-          cache_fill(miss.cache_key, *value);
-          // Joined waiters get their copy; with none, the promise (which
-          // nothing else can reach once the entry is gone) is dropped.
-          if (inflight_erase(in_flight_key) > 0) miss.promise.set_value(value);
-        }
-      } catch (...) {
-        // Fail every promise not yet fulfilled so joined waiters unblock.
-        for (; done < misses.size(); ++done) {
-          inflight_erase(InFlightKey{misses[done].cache_key,
-                                     std::type_index(typeid(T))});
-          misses[done].promise.set_error(std::current_exception());
-        }
-        throw;
+      if (const auto dup = first_miss.find(cache_key);
+          dup != first_miss.end()) {
+        aliases.emplace_back(i, dup->second);
+        continue;
       }
+      first_miss.emplace(cache_key, misses.size());
+      misses.push_back(Miss{i, std::move(cache_key)});
+    }
+    if (misses.empty()) return out;
+    std::vector<Key> miss_keys;
+    miss_keys.reserve(misses.size());
+    for (const Miss& miss : misses) miss_keys.push_back(keys[miss.index]);
+    std::vector<std::optional<Bytes>> results;
+    {
+      // One pipelined round trip, charged to the calling thread — this is
+      // where batched resolve beats N sequential gets.
+      obs::SpanScope fetch("store.fetch", {}, "wire-transfer");
+      results = connector_->get_batch(miss_keys);
+    }
+    const bool tracing = obs::TraceRecorder::global().enabled();
+    for (std::size_t j = 0; j < misses.size(); ++j) {
+      if (!results[j]) continue;
+      const Miss& miss = misses[j];
+      const std::string subject =
+          tracing ? trace_subject(name_, keys[miss.index]) : std::string{};
+      out[miss.index] =
+          decode_and_fill<T>(miss.cache_key, subject, std::move(*results[j]));
     }
     for (const auto& [i, miss_pos] : aliases) {
       out[i] = out[misses[miss_pos].index];
     }
-    for (auto& [i, future] : joined) {
-      out[i] = future.get();  // merges the fetching thread's vtime
-    }
     return out;
-  }
-
-  /// Starts background fetches warming the deserialized-object cache for
-  /// `keys` (skipping ones already cached). Advisory: completion is not
-  /// awaited and the transfer's virtual cost is merged only by waiters
-  /// that join the in-flight fetch before it finishes.
-  template <typename T>
-  void prefetch(const std::vector<Key>& keys) {
-    check_open();
-    for (const Key& key : keys) {
-      if (cache_.contains(key.canonical())) continue;
-      (void)get_async<T>(key);
-    }
   }
 
   /// True when the object is cached locally or present in the channel.
@@ -577,42 +430,31 @@ class Store : public std::enable_shared_from_this<Store> {
     cache_.put<T>(cache_key, std::make_shared<const T>(value));
   }
 
-  /// Decodes with T's registered deserializer, which reads a view, or
-  /// with serde. Given the buffer itself (an rvalue), serde decodes a byte
-  /// payload in place instead of copying it out.
-  template <typename T, typename Data>
-  T deserialize_value(Data&& data) {
-    if (const SerializerEntry* entry = find_serializer<T>()) {
-      const auto& fn = std::any_cast<const std::function<T(BytesView)>&>(
-          entry->deserializer);
-      return fn(BytesView(data));
+  /// The read step get and resolve_batch share for a fetched object:
+  /// counts its bytes, decodes them under a `store.deserialize` span (with
+  /// T's registered deserializer, which reads a view, or with serde, which
+  /// decodes a byte payload in place in the buffer it is given) and fills
+  /// the cache.
+  template <typename T>
+  std::optional<T> decode_and_fill(const std::string& cache_key,
+                                   std::string_view subject, Bytes&& data) {
+    detail::store_instruments().get_bytes.get().inc(data.size());
+    std::optional<T> value;
+    {
+      obs::SpanScope serde("store.deserialize", subject, "serde");
+      if (const SerializerEntry* entry = find_serializer<T>()) {
+        const auto& fn = std::any_cast<const std::function<T(BytesView)>&>(
+            entry->deserializer);
+        value.emplace(fn(BytesView(data)));
+      } else if constexpr (serde::Serializable<T>) {
+        value.emplace(serde::from_bytes<T>(std::move(data)));
+      } else {
+        throw SerializationError(
+            "Store: type has no serde codec and no registered serializer");
+      }
     }
-    if constexpr (serde::Serializable<T>) {
-      return serde::from_bytes<T>(std::forward<Data>(data));
-    } else {
-      throw SerializationError(
-          "Store: type has no serde codec and no registered serializer");
-    }
-  }
-
-  /// Single-flight table for async fetches: (canonical key, value type) →
-  /// the ps::core::Future<std::optional<T>> (in a std::any) every
-  /// concurrent getter of that object shares, and how many callers joined
-  /// it besides the one fetching.
-  using InFlightKey = std::pair<std::string, std::type_index>;
-  struct InFlight {
-    std::any future;
-    std::size_t joins = 0;
-  };
-
-  /// Removes a finished fetch; returns how many callers joined it.
-  std::size_t inflight_erase(const InFlightKey& key) {
-    std::lock_guard lock(inflight_mu_);
-    const auto it = inflight_.find(key);
-    if (it == inflight_.end()) return 0;
-    const std::size_t joins = it->second.joins;
-    inflight_.erase(it);
-    return joins;
+    cache_fill(cache_key, *value);
+    return value;
   }
 
   static void count_put(std::size_t bytes) {
@@ -629,8 +471,6 @@ class Store : public std::enable_shared_from_this<Store> {
   std::unordered_map<std::type_index, SerializerEntry> serializers_;
   /// Set (never cleared) by the first register_serializer.
   std::atomic<bool> has_serializers_{false};
-  mutable std::mutex inflight_mu_;
-  std::map<InFlightKey, InFlight> inflight_;
   std::atomic<bool> closed_{false};
 };
 

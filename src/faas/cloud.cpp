@@ -12,12 +12,23 @@ namespace ps::faas {
 
 namespace {
 constexpr const char* kAddress = "faas://cloud";
+/// The task payload ceiling ("Globus Compute enforces a 5 MB task payload
+/// size limit"). Applies to inputs and results.
+constexpr std::size_t kMaxPayloadBytes = 5'000'000;
+/// Cloud API processing latency per leg (auth, routing, storage I/O).
+constexpr double kBaseLatencyS = 0.18;
+/// Cloud-side payload handling bandwidth. Deliberately low: task payloads
+/// are JSON/base64-encoded, stored in hosted Redis, and polled over
+/// websockets, which the paper's Figure 5 baseline shows costs on the order
+/// of seconds per few MB.
+constexpr double kStorageBps = 1e6;
+/// Concurrency of the cloud ingestion path.
+constexpr std::size_t kIngestServers = 8;
 }  // namespace
 
 std::shared_ptr<CloudService> CloudService::start(proc::World& world,
-                                                  const std::string& host,
-                                                  CloudServiceOptions options) {
-  auto service = std::make_shared<CloudService>(world, host, options);
+                                                  const std::string& host) {
+  auto service = std::make_shared<CloudService>(world, host);
   world.services().bind<CloudService>(kAddress, service);
   return service;
 }
@@ -27,12 +38,8 @@ std::shared_ptr<CloudService> CloudService::connect() {
       kAddress);
 }
 
-CloudService::CloudService(proc::World& world, std::string host,
-                           CloudServiceOptions options)
-    : world_(world),
-      host_(std::move(host)),
-      options_(options),
-      ingest_queue_(options.ingest_servers) {
+CloudService::CloudService(proc::World& world, std::string host)
+    : world_(world), host_(std::move(host)), ingest_queue_(kIngestServers) {
   world_.fabric().host(host_);  // validate
 }
 
@@ -57,8 +64,7 @@ const std::string& CloudService::endpoint_host(const Uuid& endpoint) const {
 
 double CloudService::ingest(double arrival, std::size_t bytes) {
   return ingest_queue_.schedule(
-      arrival, options_.base_latency_s +
-                   static_cast<double>(bytes) / options_.storage_Bps);
+      arrival, kBaseLatencyS + static_cast<double>(bytes) / kStorageBps);
 }
 
 Uuid CloudService::submit(const Uuid& endpoint, const std::string& function,
@@ -68,11 +74,11 @@ Uuid CloudService::submit(const Uuid& endpoint, const std::string& function,
   obs::Histogram& submit_wall = registry.histogram("faas.submit.wall");
   obs::Counter& rejections = registry.counter("faas.payload_rejections");
   obs::Timer timer(&submit_vtime, &submit_wall);
-  if (payload.size() > options_.max_payload_bytes) {
+  if (payload.size() > kMaxPayloadBytes) {
     if (obs::enabled()) rejections.inc();
     throw PayloadTooLargeError(
         "task payload of " + std::to_string(payload.size()) +
-        " bytes exceeds the " + std::to_string(options_.max_payload_bytes) +
+        " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
         "-byte cloud limit");
   }
   std::shared_ptr<Queue<TaskRecord>> queue;
@@ -117,7 +123,7 @@ std::optional<TaskRecord> CloudService::next_task(const Uuid& endpoint) {
 
 void CloudService::post_result(const Uuid& endpoint, const Uuid& task,
                                Bytes data, std::string error) {
-  if (error.empty() && data.size() > options_.max_payload_bytes) {
+  if (error.empty() && data.size() > kMaxPayloadBytes) {
     data.clear();
     error = "task result exceeds the cloud payload limit";
   }

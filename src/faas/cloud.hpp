@@ -27,21 +27,6 @@
 
 namespace ps::faas {
 
-struct CloudServiceOptions {
-  /// The task payload ceiling ("Globus Compute enforces a 5 MB task
-  /// payload size limit"). Applies to inputs and results.
-  std::size_t max_payload_bytes = 5'000'000;
-  /// Cloud API processing latency per leg (auth, routing, storage I/O).
-  double base_latency_s = 0.18;
-  /// Cloud-side payload handling bandwidth. Deliberately low: task
-  /// payloads are JSON/base64-encoded, stored in hosted Redis, and polled
-  /// over websockets, which the paper's Figure 5 baseline shows costs on
-  /// the order of seconds per few MB.
-  double storage_Bps = 1e6;
-  /// Concurrency of the cloud ingestion path.
-  std::size_t ingest_servers = 8;
-};
-
 struct TaskRecord {
   Uuid id;
   std::string function;
@@ -64,14 +49,12 @@ struct TaskResult {
 class CloudService {
  public:
   static std::shared_ptr<CloudService> start(proc::World& world,
-                                             const std::string& host,
-                                             CloudServiceOptions options = {});
+                                             const std::string& host);
 
   /// Resolves the cloud service of the current world.
   static std::shared_ptr<CloudService> connect();
 
-  CloudService(proc::World& world, std::string host,
-               CloudServiceOptions options);
+  CloudService(proc::World& world, std::string host);
 
   /// Registers a compute endpoint; returns its UUID and task queue.
   Uuid register_endpoint(const std::string& host);
@@ -101,7 +84,6 @@ class CloudService {
   void deregister_endpoint(const Uuid& endpoint);
 
   const std::string& host() const { return host_; }
-  const CloudServiceOptions& options() const { return options_; }
   const std::string& endpoint_host(const Uuid& endpoint) const;
 
  private:
@@ -114,7 +96,6 @@ class CloudService {
 
   proc::World& world_;
   std::string host_;
-  CloudServiceOptions options_;
   sim::Resource ingest_queue_;
   mutable std::mutex mu_;
   std::condition_variable results_cv_;

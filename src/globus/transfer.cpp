@@ -12,6 +12,18 @@ namespace fs = std::filesystem;
 
 namespace {
 constexpr const char* kAddress = "globus://transfer";
+/// Fixed per-task latency of the SaaS control plane (submission,
+/// scheduling, endpoint polling).
+constexpr double kTaskOverheadS = 2.0;
+/// Additional per-file handling cost.
+constexpr double kPerFileOverheadS = 0.05;
+/// Fraction of the WAN route bandwidth GridFTP achieves (parallel
+/// streams, tuned TCP).
+constexpr double kBandwidthEfficiency = 0.9;
+/// Transfer tasks the service works on concurrently per endpoint pair;
+/// additional tasks queue (this is why proxy_batch — one task for many
+/// objects — beats per-object transfers).
+constexpr std::size_t kConcurrentTasks = 4;
 }  // namespace
 
 std::string to_string(TaskStatus s) {
@@ -28,9 +40,8 @@ std::string to_string(TaskStatus s) {
   return "?";
 }
 
-std::shared_ptr<TransferService> TransferService::start(
-    proc::World& world, TransferServiceOptions options) {
-  auto service = std::make_shared<TransferService>(world, options);
+std::shared_ptr<TransferService> TransferService::start(proc::World& world) {
+  auto service = std::make_shared<TransferService>(world);
   world.services().bind<TransferService>(kAddress, service);
   return service;
 }
@@ -40,9 +51,8 @@ std::shared_ptr<TransferService> TransferService::connect() {
       kAddress);
 }
 
-TransferService::TransferService(proc::World& world,
-                                 TransferServiceOptions options)
-    : world_(world), options_(options), task_queue_(options.concurrent_tasks) {}
+TransferService::TransferService(proc::World& world)
+    : world_(world), task_queue_(kConcurrentTasks) {}
 
 Uuid TransferService::register_endpoint(const std::string& host,
                                         const fs::path& dir) {
@@ -88,7 +98,7 @@ Uuid TransferService::submit(const Uuid& source, const Uuid& destination,
   if (src.failing || dst.failing) {
     task.status = TaskStatus::kFailed;
     task.error = "endpoint unavailable";
-    task.completion_vtime = sim::vnow() + options_.task_overhead_s;
+    task.completion_vtime = sim::vnow() + kTaskOverheadS;
     tasks_[task.task_id] = task;
     return task.task_id;
   }
@@ -104,7 +114,7 @@ Uuid TransferService::submit(const Uuid& source, const Uuid& destination,
     if (ec) {
       task.status = TaskStatus::kFailed;
       task.error = "source file missing: " + file;
-      task.completion_vtime = sim::vnow() + options_.task_overhead_s;
+      task.completion_vtime = sim::vnow() + kTaskOverheadS;
       tasks_[task.task_id] = task;
       return task.task_id;
     }
@@ -120,14 +130,13 @@ Uuid TransferService::submit(const Uuid& source, const Uuid& destination,
   for (net::Hop& hop : route.hops) {
     net::LinkProfile p = hop.profile;
     p.congestion = net::Congestion::kBbrWan;
-    p.bandwidth_Bps *= options_.bandwidth_efficiency;
+    p.bandwidth_Bps *= kBandwidthEfficiency;
     p.ramp_rtt_factor = 0.3;  // parallel GridFTP streams open quickly
     wire_time += p.transfer_time(total_bytes);
   }
-  const double duration = options_.task_overhead_s +
-                          options_.per_file_overhead_s *
-                              static_cast<double>(files.size()) +
-                          wire_time;
+  const double duration =
+      kTaskOverheadS + kPerFileOverheadS * static_cast<double>(files.size()) +
+      wire_time;
   task.status = TaskStatus::kActive;
   // The service works on a bounded number of tasks at a time; submitting
   // many small tasks queues them behind each other, while one batched task

@@ -37,32 +37,15 @@ struct TransferTask {
   std::string error;
 };
 
-struct TransferServiceOptions {
-  /// Fixed per-task latency of the SaaS control plane (submission,
-  /// scheduling, endpoint polling).
-  double task_overhead_s = 2.0;
-  /// Additional per-file handling cost.
-  double per_file_overhead_s = 0.05;
-  /// Fraction of the WAN route bandwidth GridFTP achieves (parallel
-  /// streams, tuned TCP).
-  double bandwidth_efficiency = 0.9;
-  /// Transfer tasks the service works on concurrently per endpoint pair;
-  /// additional tasks queue (this is why proxy_batch — one task for many
-  /// objects — beats per-object transfers).
-  std::size_t concurrent_tasks = 4;
-};
-
 class TransferService {
  public:
   /// Creates the (world-singleton) service, bound at "globus://transfer".
-  static std::shared_ptr<TransferService> start(
-      proc::World& world, TransferServiceOptions options = {});
+  static std::shared_ptr<TransferService> start(proc::World& world);
 
   /// Resolves the running service from the current world.
   static std::shared_ptr<TransferService> connect();
 
-  explicit TransferService(proc::World& world,
-                           TransferServiceOptions options);
+  explicit TransferService(proc::World& world);
 
   /// Registers an endpoint rooted at `dir` on fabric host `host`;
   /// returns its UUID. The directory is created.
@@ -102,7 +85,6 @@ class TransferService {
   const Endpoint& endpoint(const Uuid& id) const;
 
   proc::World& world_;
-  TransferServiceOptions options_;
   sim::Resource task_queue_;
   mutable std::mutex mu_;
   std::map<Uuid, Endpoint> endpoints_;

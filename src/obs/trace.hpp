@@ -10,8 +10,9 @@
 // Disabled by default: the hot-path cost when off is one relaxed load.
 // A proxy's lifecycle is the spans the Store and the descriptor-factory
 // resolve path open under its "<store>/<key>" subject, in one trace —
-// store.proxy -> proxy.resolve -> store.cache.probe -> store.deserialize —
-// and obs/export.hpp renders spans() as a Perfetto-loadable Chrome trace.
+// store.proxy -> proxy.resolve -> store.cache.probe -> store.fetch ->
+// store.deserialize — and obs/export.hpp renders spans() as a
+// Perfetto-loadable Chrome trace.
 // The span deque here is the only copy: the flight recorder
 // (obs/flight.hpp) freezes it rather than keeping a ring of its own.
 #pragma once

@@ -1,8 +1,8 @@
 // Tier-2 suite for the asynchronous operation core: Future/Promise
 // semantics, the bounded AsyncExecutor, single-flight proxy resolution
-// under racing threads, and the Store deserialized-object cache under
-// concurrent get_async / resolve_batch. Built with -DPS_SANITIZE=thread in
-// CI so every cross-thread handoff here is TSan-checked.
+// under racing threads, and the Store's reads (get, resolve_batch) under
+// concurrent callers. Built with -DPS_SANITIZE=thread in CI so every
+// cross-thread handoff here is TSan-checked.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -107,20 +107,6 @@ TEST(Future, OnReadyRunsInlineWhenAlreadyComplete) {
     callback_thread = std::this_thread::get_id();
   });
   EXPECT_EQ(callback_thread, std::this_thread::get_id());
-}
-
-TEST(Future, ThenTransformsValueAndPropagatesError) {
-  Promise<int> promise;
-  Future<int> doubled =
-      promise.future().then([](const int& v) { return v * 2; });
-  promise.set_value(21);
-  EXPECT_EQ(doubled.get(), 42);
-
-  Promise<int> failing;
-  Future<int> derived =
-      failing.future().then([](const int& v) { return v + 1; });
-  failing.set_error(std::make_exception_ptr(Error("upstream")));
-  EXPECT_THROW(derived.get(), Error);
 }
 
 // ------------------------------------------------------------- executor ----
@@ -466,7 +452,7 @@ TEST_F(AsyncTest, LocalConnectorAsyncOpsCompleteInline) {
 }
 
 /// Store over `connector` with a deserializer that counts invocations, so
-/// tests can assert the single-deserialization-per-key guarantee.
+/// tests can assert how many objects a read decoded.
 std::shared_ptr<Store> counting_store(const std::string& name,
                                       std::shared_ptr<Connector> connector,
                                       Store::Options options,
@@ -490,7 +476,7 @@ std::uint64_t store_counter(const char* name) {
 constexpr int kBatchThreads = 3;
 constexpr int kSingleThreads = 3;
 
-/// Races kBatchThreads resolve_batch threads and kSingleThreads get_async
+/// Races kBatchThreads resolve_batch threads and kSingleThreads get
 /// threads over all of `keys` on `store`; returns how many values came back
 /// wrong.
 int race_batch_and_single_fetches(Store& store, proc::Process& process,
@@ -513,7 +499,7 @@ int race_batch_and_single_fetches(Store& store, proc::Process& process,
       proc::ProcessScope scope(process);
       for (std::size_t i = 0; i < keys.size(); ++i) {
         const std::optional<std::string> value =
-            store.get_async<std::string>(keys[i]).get();
+            store.get<std::string>(keys[i]);
         if (!value || *value != expected[i]) mismatches.fetch_add(1);
       }
     });
@@ -522,43 +508,10 @@ int race_batch_and_single_fetches(Store& store, proc::Process& process,
   return mismatches.load();
 }
 
-TEST_F(AsyncTest, ConcurrentAsyncFetchesDeserializeOncePerKey) {
-  constexpr int kObjects = 8;
-  std::atomic<int> deserializations{0};
-  auto store =
-      counting_store("async-flight", std::make_shared<AdapterConnector>(),
-                     Store::Options{.cache_size = 64}, deserializations);
-
-  std::vector<Key> keys;
-  std::vector<std::string> expected;
-  {
-    proc::ProcessScope scope(*process_);
-    for (int i = 0; i < kObjects; ++i) {
-      expected.push_back("object-" + std::to_string(i));
-      keys.push_back(store->put(expected.back()));
-    }
-  }
-
-  const std::uint64_t gets_before = store_counter("store.gets");
-  const std::uint64_t hits_before = store_counter("store.cache.hits");
-  EXPECT_EQ(race_batch_and_single_fetches(*store, *process_, keys, expected),
-            0);
-  // Single-flight: no matter how the six threads interleave, each object
-  // crosses the deserializer exactly once and lands in the cache.
-  EXPECT_EQ(deserializations.load(), kObjects);
-  const std::uint64_t gets = store_counter("store.gets") - gets_before;
-  const std::uint64_t cache_hits =
-      store_counter("store.cache.hits") - hits_before;
-  EXPECT_EQ(gets, static_cast<std::uint64_t>(
-                      (kBatchThreads + kSingleThreads) * kObjects));
-  EXPECT_EQ(store->cache().evictions(), 0u);  // capacity 64 never pressured
-  EXPECT_LE(cache_hits, gets - static_cast<std::uint64_t>(kObjects));
-}
-
 TEST_F(AsyncTest, ConcurrentSerdeFetchesWithoutCacheAllMatch) {
-  // The serde path decodes each fetched buffer in place, and resolve_batch
-  // copies a value into its single-flight promise only when a caller
-  // joined the fetch: every racing reader must still see every value.
+  // The serde path decodes each fetched buffer in place, and racing
+  // readers of one object each fetch and decode their own copy: every
+  // reader must still see every value.
   constexpr int kObjects = 8;
   auto store = std::make_shared<Store>(
       "async-flight-serde", std::make_shared<AdapterConnector>(),
@@ -624,55 +577,6 @@ TEST_F(AsyncTest, ResolveBatchEvictionMetricsStayConsistent) {
   EXPECT_EQ(store->cache().evictions(), 4u);  // 6 inserts into a 2-slot LRU
   EXPECT_EQ(store->cache().size(), 2u);
   EXPECT_EQ(deserializations.load(), 6);
-}
-
-TEST_F(AsyncTest, GetAsyncCachesAndCompletesInlineOnHit) {
-  proc::ProcessScope scope(*process_);
-  std::atomic<int> deserializations{0};
-  auto store =
-      counting_store("async-hit", std::make_shared<LocalConnector>(),
-                     Store::Options{.cache_size = 16}, deserializations);
-  const Key key = store->put(std::string("payload"));
-  const std::uint64_t hits_before = store_counter("store.cache.hits");
-
-  const std::optional<std::string> first =
-      store->get_async<std::string>(key).get();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, "payload");
-
-  Future<std::optional<std::string>> second =
-      store->get_async<std::string>(key);
-  EXPECT_TRUE(second.ready());  // cache hit completes inline
-  EXPECT_EQ(*second.wait(), "payload");
-  EXPECT_EQ(deserializations.load(), 1);
-  EXPECT_GE(store_counter("store.cache.hits") - hits_before, 1u);
-}
-
-TEST_F(AsyncTest, PrefetchWarmsTheDeserializedCache) {
-  proc::ProcessScope scope(*process_);
-  std::atomic<int> deserializations{0};
-  auto store =
-      counting_store("async-prefetch", std::make_shared<LocalConnector>(),
-                     Store::Options{.cache_size = 16}, deserializations);
-  std::vector<Key> keys;
-  for (int i = 0; i < 4; ++i) {
-    keys.push_back(store->put("warm-" + std::to_string(i)));
-  }
-
-  store->prefetch<std::string>(keys);
-  // LocalConnector's native get_async completes inline, so the cache is
-  // warm (and the metrics stable) by the time prefetch returns.
-  EXPECT_EQ(deserializations.load(), 4);
-  for (const Key& key : keys) {
-    EXPECT_TRUE(store->cache().contains(key.canonical()));
-  }
-  const std::optional<std::string> hit = store->get<std::string>(keys[0]);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "warm-0");
-  EXPECT_EQ(deserializations.load(), 4);  // pure cache hit: no re-decode
-
-  store->prefetch<std::string>(keys);  // cached keys are skipped entirely
-  EXPECT_EQ(deserializations.load(), 4);
 }
 
 }  // namespace

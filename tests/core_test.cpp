@@ -330,7 +330,6 @@ TEST_F(CoreTest, CacheOffStoreReadsReturnPutBytes) {
   const Key other = store->put(small);
 
   EXPECT_EQ(store->get<Bytes>(key), payload);
-  EXPECT_EQ(store->get_async<Bytes>(key).get(), payload);
   // The repeated key is a batch-internal duplicate: one fetch, two answers.
   const std::vector<std::optional<Bytes>> batch =
       store->resolve_batch<Bytes>({key, other, key});
@@ -759,6 +758,29 @@ MultiConnector counting_multi(std::shared_ptr<BatchCountingConnector> small,
   return MultiConnector(std::vector<MultiConnector::Entry>{
       {"small", std::move(small), small_policy},
       {"large", std::move(large), Policy{}}});
+}
+
+TEST_F(CoreTest, ResolveBatchFetchesOnlyDistinctMissesInOneGetBatch) {
+  proc::ProcessScope scope(*producer_);
+  auto counting = std::make_shared<BatchCountingConnector>("count-store");
+  auto store = std::make_shared<Store>("batch-shape", counting);
+  const Key cached = store->put(std::string("cached"));
+  const Key repeated = store->put(std::string("repeated"));
+  const Key single = store->put(std::string("single"));
+  ASSERT_EQ(store->get<std::string>(cached), "cached");  // now in the cache
+  const int gets_before = counting->gets;
+
+  const std::vector<std::optional<std::string>> values =
+      store->resolve_batch<std::string>(
+          {repeated, cached, single, repeated});
+  const std::vector<std::optional<std::string>> expected{
+      "repeated", "cached", "single", "repeated"};
+  EXPECT_EQ(values, expected);
+  // One get_batch over the two distinct misses; the cached key and the
+  // repeat never reach the connector, and no key falls back to get.
+  EXPECT_EQ(counting->get_batch_calls, 1);
+  EXPECT_EQ(counting->get_batch_items, 2u);
+  EXPECT_EQ(counting->gets, gets_before);
 }
 
 TEST_F(MultiTest, PutBatchPolicyRoutesPerItem) {

@@ -172,7 +172,7 @@ TEST_F(KvHotPath, StoreGetDecodesTheReplyInPlace) {
   EXPECT_LT(allocated, (3u << 20) / 2);
 }
 
-TEST_F(KvHotPath, ResolveBatchCopiesNothingIntoUnjoinedPromises) {
+TEST_F(KvHotPath, ResolveBatchDecodesEachReplyInPlace) {
   const std::shared_ptr<core::Store> store = uncached_store("kv-hot-batch");
   std::vector<Bytes> values;
   std::vector<core::Key> keys;
@@ -186,8 +186,8 @@ TEST_F(KvHotPath, ResolveBatchCopiesNothingIntoUnjoinedPromises) {
       store->resolve_batch<Bytes>(keys);
   const std::uint64_t allocated = t_allocated_bytes - before;
   for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(got[i], values[i]);
-  // One kv reply per key, each decoded in place; no caller joined these
-  // fetches, so no value is copied into a single-flight promise.
+  // One kv reply per key, each decoded in place and moved into its slot:
+  // no value is copied on its way to the caller.
   EXPECT_LT(allocated, 5u << 20);
 }
 

@@ -492,7 +492,8 @@ TEST_F(ObsStoreTest, ProxyLifecycleTraceHasOrderedEvents) {
 
   // The proxy's lifecycle is the spans carrying its subject: created at the
   // producer's site, then resolved at the consumer's (a cache probe, and on
-  // the miss a deserialization), all in the creating span's trace.
+  // the miss the connector fetch and a deserialization), all in the
+  // creating span's trace.
   std::vector<SpanRecord> lifecycle;
   for (const SpanRecord& span : recorder.spans()) {
     if (span.subject == subject) lifecycle.push_back(span);
@@ -501,6 +502,7 @@ TEST_F(ObsStoreTest, ProxyLifecycleTraceHasOrderedEvents) {
       {"store.proxy", "site-a"},
       {"proxy.resolve", "site-b"},
       {"store.cache.probe", "site-b"},
+      {"store.fetch", "site-b"},
       {"store.deserialize", "site-b"}};
   const SpanRecord* previous = nullptr;
   for (const auto& [name, site] : expected) {

@@ -24,7 +24,8 @@
 #      and the same seed must give bit-identical op vtime;
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics` the demo proxy's
-#      lifecycle spans (its cross-site resolve with a nonzero duration),
+#      lifecycle spans (its cross-site resolve and the store's connector
+#      fetch inside it, each with a nonzero duration),
 #      `psctl metrics --prom` a Prometheus snapshot, and
 #      `psctl stream stats` a per-topic table with the expected demo-topic
 #      rows;
@@ -113,12 +114,14 @@ grep -q '"ph":"X"' "${TRACE_OUT}"
 # buffer.
 # The demo proxy's lifecycle is its spans: the table form must list the
 # creating store.proxy span and the consumer's proxy.resolve span under
-# the lifecycle heading, and the cross-site resolve must cost virtual time.
+# the lifecycle heading, the cross-site resolve must cost virtual time,
+# and so must the store.fetch span naming the connector round trip in it.
 METRICS_TABLE="$(./build/tools/psctl metrics)"
 LIFECYCLE="$(sed -n '/^proxy lifecycle (/,/^$/p' <<<"${METRICS_TABLE}")"
 grep -q '^  store\.proxy ' <<<"${LIFECYCLE}"
 grep -q '^  proxy\.resolve ' <<<"${LIFECYCLE}"
 grep -qE '^  proxy\.resolve .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
+grep -qE '^  store\.fetch .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
 PROM_SNAPSHOT="$(./build/tools/psctl metrics --prom)"
 grep -q '^# TYPE ps_' <<<"${PROM_SNAPSHOT}"
 # The new summary exposition must be present alongside counters/gauges.

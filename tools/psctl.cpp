@@ -535,17 +535,14 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       store->exists(core::Key{.object_id = "no-such-object", .meta = {}});
     }
 
-    // Async path: batched + pipelined gets and an async proxy resolve, so
-    // the async.executor.* queue/saturation metrics and the per-connector
-    // get_async / get_batch series have data (the file store's get_async
-    // rides the executor adapter).
+    // Async path: a batched resolve and an async proxy resolve, so the
+    // async.executor.* queue/saturation metrics and the per-connector
+    // get_batch series have data. The file store's connector().get_async
+    // rides the executor adapter and keeps the adapter series fed.
     {
       std::vector<std::string> values(8, std::string(1024, 'a'));
       const std::vector<core::Key> keys = local->put_batch(values);
-      for (const core::Key& key : keys) local->cache().erase(key.canonical());
       local->resolve_batch<std::string>(keys);
-      for (const core::Key& key : keys) local->cache().erase(key.canonical());
-      local->get_async<std::string>(keys.front()).wait();
       file->connector().get_async(keys.front()).wait();
       core::Proxy<std::string> warm =
           local->proxy(std::string("async-demo"));
@@ -572,8 +569,8 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
     // One proxy minted on the kv server above and resolved in a different
     // simulated process: the consumer on another site pays a WAN round
     // trip, and the lifecycle spans (store.proxy -> proxy.resolve ->
-    // store.cache.probe -> store.deserialize) land in the trace recorder
-    // under one trace.
+    // store.cache.probe -> store.fetch -> store.deserialize) land in the
+    // trace recorder under one trace.
     auto kv_store = std::make_shared<core::Store>(
         "psctl-kv", std::make_shared<connectors::RedisConnector>(
                         kv::kv_address(tb.theta_compute0, "psctl-rpc-demo")));

@@ -8,14 +8,16 @@
 //     one channel (request transfer, FIFO service, and response transfer of
 //     consecutive requests overlap: total is ~max-of-pipeline);
 //   * async-connector in-flight scaling — 1..64 outstanding RedisConnector
-//     get_async ops on the kv channel. Native completion-driven ops hold
-//     ZERO executor workers while in flight, hard-asserted via the
-//     async.executor.submitted counter (delta must be 0 across the run).
+//     reads on the kv channel, each a one-key get_batch_async (a one-key
+//     MGET is charged exactly like a GET for values of 8 bytes or more).
+//     Native completion-driven ops hold ZERO executor workers while in
+//     flight, hard-asserted via the async.executor.submitted counter
+//     (delta must be 0 across the run).
 // Both wins are hard-asserted so the blessed baseline encodes them and the
 // CI diff gate fails if either regresses.
 //
 // --force-adapter wraps the connector so the base-class sync->async executor
-// adapters run instead of the native overrides; the zero-occupancy assert
+// adapter runs instead of the native override; the zero-occupancy assert
 // then fails and the bench exits nonzero. CI uses this as the negative gate
 // proving the assert has teeth.
 #include <cstdio>
@@ -42,9 +44,9 @@ std::uint64_t executor_submitted() {
 }
 
 /// Forwards every sync op to the wrapped connector but deliberately keeps
-/// the base-class *_async defaults, so async ops fall back to parking a
-/// shared-executor worker per request. Exists only to prove the bench's
-/// zero-executor-occupancy assert can fail.
+/// the base-class get_batch_async default, so async reads fall back to
+/// parking a shared-executor worker per request. Exists only to prove the
+/// bench's zero-executor-occupancy assert can fail.
 class AdapterOnlyConnector : public core::Connector {
  public:
   explicit AdapterOnlyConnector(std::shared_ptr<core::Connector> inner)
@@ -102,13 +104,13 @@ double run_pipelined(rpc::RpcClient& client, const Bytes& payload,
 double run_connector_ladder(core::Connector& connector,
                             const std::vector<core::Key>& keys) {
   sim::VtimeScope elapsed;
-  std::vector<core::Future<std::optional<Bytes>>> ladder;
+  std::vector<core::Future<std::vector<std::optional<Bytes>>>> ladder;
   ladder.reserve(keys.size());
   for (const core::Key& key : keys) {
-    ladder.push_back(connector.get_async(key));
+    ladder.push_back(connector.get_batch_async({key}));
   }
   for (auto& pending : ladder) {
-    if (!pending.wait()) {
+    if (!pending.wait().front()) {
       throw Error("micro_rpc: connector ladder lost an object");
     }
   }
@@ -152,8 +154,8 @@ int run(const ps::bench::Args& args, bool force_adapter) {
       "Completion-driven wire protocol (Theta compute -> login, margo)\n"
       "sequential = N blocking echo round trips (sum-of-round-trips);\n"
       "pipelined = N call_async in flight on one channel "
-      "(~max-of-pipeline);\nconnector = N outstanding RedisConnector "
-      "get_async, zero executor workers");
+      "(~max-of-pipeline);\nconnector = N outstanding one-key "
+      "RedisConnector get_batch_async, zero executor workers");
   ps::bench::print_row({"depth", "sequential", "pipelined"});
 
   double deepest_sequential = 0.0;

@@ -148,35 +148,21 @@ void EndpointConnector::evict(const core::Key& key) {
              0);
 }
 
-namespace {
-
-// Runs `op` (which advances the caller's clock through the endpoint legs)
-// with the caller's clock saved/restored, and stamps the returned future at
-// the exchange's completion vtime. Same virtual cost as parking the sync op
-// on the AsyncExecutor — the worker there is seeded with the submitter's
-// clock — but no worker is occupied while the request is outstanding.
-template <typename T, typename Op>
-core::Future<T> inline_async(Op&& op) {
-  const double issue = sim::vnow();
-  T value = op();
-  const double done = sim::vnow();
-  sim::vset(issue);
-  core::Promise<T> promise;
-  core::complete_at(promise, std::move(value), done);
-  return promise.future();
-}
-
-}  // namespace
-
-core::Future<std::optional<Bytes>> EndpointConnector::get_async(
-    const core::Key& key) {
-  return inline_async<std::optional<Bytes>>([&] { return get(key); });
-}
-
+// Runs get_batch (which advances the caller's clock through the endpoint
+// legs) with the caller's clock saved/restored, and stamps the returned
+// future at the exchange's completion vtime. Same virtual cost as parking
+// the sync op on the AsyncExecutor — the worker there is seeded with the
+// submitter's clock — but no worker is occupied while the request is
+// outstanding.
 core::Future<std::vector<std::optional<Bytes>>>
 EndpointConnector::get_batch_async(const std::vector<core::Key>& keys) {
-  return inline_async<std::vector<std::optional<Bytes>>>(
-      [&] { return get_batch(keys); });
+  const double issue = sim::vnow();
+  std::vector<std::optional<Bytes>> values = get_batch(keys);
+  const double done = sim::vnow();
+  sim::vset(issue);
+  core::Promise<std::vector<std::optional<Bytes>>> promise;
+  core::complete_at(promise, std::move(values), done);
+  return promise.future();
 }
 
 namespace {

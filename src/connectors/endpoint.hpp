@@ -39,11 +39,10 @@ class EndpointConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Completion-driven reads: the endpoint exchange runs inline on the
+  // Completion-driven read: the endpoint exchange runs inline on the
   // caller with its clock saved and restored, and the future is stamped at
   // the exchange's completion vtime — same cost as the executor adapter but
   // with zero workers held while the request is outstanding.
-  core::Future<std::optional<Bytes>> get_async(const core::Key& key) override;
   core::Future<std::vector<std::optional<Bytes>>> get_batch_async(
       const std::vector<core::Key>& keys) override;
 

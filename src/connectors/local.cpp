@@ -80,11 +80,6 @@ std::vector<std::optional<Bytes>> LocalConnector::get_batch(
   return out;
 }
 
-core::Future<std::optional<Bytes>> LocalConnector::get_async(
-    const core::Key& key) {
-  return core::make_ready_future(get(key));
-}
-
 bool LocalConnector::exists(const core::Key& key) {
   std::lock_guard lock(table_->mu);
   return table_->objects.contains(key.object_id);

@@ -40,10 +40,6 @@ class LocalConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Native async read: memory operations complete inline, so this returns
-  // an already-ready future with no executor round trip.
-  core::Future<std::optional<Bytes>> get_async(const core::Key& key) override;
-
   const std::string& address() const { return address_; }
 
   /// Number of objects currently stored (test observability).

@@ -83,11 +83,6 @@ void RedisConnector::evict_batch(const std::vector<core::Key>& keys) {
   client_.del_many(names);
 }
 
-core::Future<std::optional<Bytes>> RedisConnector::get_async(
-    const core::Key& key) {
-  return client_.get_async(key.object_id);
-}
-
 core::Future<std::vector<std::optional<Bytes>>> RedisConnector::get_batch_async(
     const std::vector<core::Key>& keys) {
   std::vector<std::string> names;

@@ -45,15 +45,9 @@ void Connector::evict_batch(const std::vector<Key>& keys) {
   for (const Key& key : keys) evict(key);
 }
 
-// Sync→async adapters: run the blocking op on the shared bounded pool. The
-// job is charged at the submitter's virtual time; waiting the future merges
-// the op's completion time (overlap realized at the merge point).
-
-Future<std::optional<Bytes>> Connector::get_async(const Key& key) {
-  return AsyncExecutor::shared().run<std::optional<Bytes>>(
-      [this, key] { return get(key); });
-}
-
+// Sync→async adapter: runs the blocking batch on the shared bounded pool.
+// The job is charged at the submitter's virtual time; waiting the future
+// merges the op's completion time (overlap realized at the merge point).
 Future<std::vector<std::optional<Bytes>>> Connector::get_batch_async(
     const std::vector<Key>& keys) {
   return AsyncExecutor::shared().run<std::vector<std::optional<Bytes>>>(

@@ -134,21 +134,14 @@ class Connector {
 
   // -- asynchronous protocol ------------------------------------------------
   //
-  // Reads have futures-based twins: get_async serves bench/micro_rpc's
-  // in-flight ladder and get_batch_async serves swarm chunk waves. The
-  // defaults adapt the sync op through the shared bounded AsyncExecutor —
-  // existing connectors work unchanged — while natively non-blocking
-  // channels override them to pipeline without an executor hop
-  // (LocalConnector completes inline).
-  // Writes, probes and evictions are synchronous only. The sync verbs are
-  // the virtual primitives, and get_async is not derived from
-  // get_batch_async: a one-key batch is charged as a batch, not as a get.
+  // One read has a futures-based form: get_batch_async serves swarm chunk
+  // waves and bench/micro_rpc's in-flight ladder (one one-key batch per
+  // op). Asynchronous resolution of a single object belongs to the proxy
+  // (Proxy::resolve_async). Writes, probes and evictions are synchronous
+  // only, and the sync verbs are the virtual primitives: get is not derived
+  // from get_batch_async, because a one-key batch is charged as a batch.
   // Contract: the connector must outlive any future it returned; waiting a
   // future merges the operation's virtual completion time (core/future.hpp).
-
-  /// Begins retrieving the object; the future completes with the value or
-  /// nullopt.
-  virtual Future<std::optional<Bytes>> get_async(const Key& key);
 
   /// Begins retrieving many objects; the future completes with the batch,
   /// position-for-position. The default adapts get_batch through the

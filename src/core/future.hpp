@@ -1,9 +1,10 @@
 // Completion-callback promise/future for the asynchronous operation core.
 //
-// ps::core::Future<T> is the result handle every *_async Connector
-// operation returns. Unlike std::future it is built for the simulation's
-// virtual-time model: the completing thread stamps its virtual "now" into
-// the shared state, and every waiter merges that stamp into its own clock
+// ps::core::Future<T> is the result handle of Connector::get_batch_async,
+// a proxy's pending resolve and the completion-driven wire ops. Unlike
+// std::future it is built for the simulation's virtual-time model: the
+// completing thread stamps its virtual "now" into the shared state, and
+// every waiter merges that stamp into its own clock
 // (`sim::vmerge`) — so communication started in the background overlaps
 // computation, and the eventual wait observes max(compute, transfer), the
 // paper's §5.3 async-resolve semantics. Completion callbacks (`on_ready`)
@@ -176,16 +177,6 @@ class Promise {
  private:
   std::shared_ptr<detail::FutureState<T>> state_;
 };
-
-/// A future already completed with `value` at the caller's current virtual
-/// time — what natively-synchronous fast paths (in-memory connectors)
-/// return so async callers pay no executor round trip.
-template <typename T>
-Future<T> make_ready_future(T value) {
-  Promise<T> promise;
-  promise.set_value(std::move(value));
-  return promise.future();
-}
 
 /// Completes `promise` as if the completing thread's clock read `done`:
 /// temporarily sets the caller's virtual time to `done`, publishes the value

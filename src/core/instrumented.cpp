@@ -26,7 +26,6 @@ InstrumentedConnector::InstrumentedConnector(std::shared_ptr<Connector> inner)
       get_batch_(inner_->type(), "get_batch", /*batch=*/true),
       exists_batch_(inner_->type(), "exists_batch", /*batch=*/true),
       evict_batch_(inner_->type(), "evict_batch", /*batch=*/true),
-      get_async_(inner_->type(), "get_async"),
       get_batch_async_(inner_->type(), "get_batch_async") {}
 
 std::shared_ptr<Connector> InstrumentedConnector::wrap(
@@ -94,14 +93,16 @@ void InstrumentedConnector::evict_batch(const std::vector<Key>& keys) {
       evict_batch_, [&] { inner_->evict_batch(keys); }, keys.size());
 }
 
-template <typename T>
-Future<T> InstrumentedConnector::record_async(const Op& op, Future<T> future) {
+Future<std::vector<std::optional<Bytes>>>
+InstrumentedConnector::get_batch_async(const std::vector<Key>& keys) {
+  Future<std::vector<std::optional<Bytes>>> future =
+      inner_->get_batch_async(keys);
   if (!obs::enabled()) return future;
   // Resolve at submit time: the completion may run on another thread (the
   // async executor), whose ambient registry is not the submitter's site.
-  op.count.get().inc();
-  obs::Histogram* vtime = &op.vtime.get();
-  obs::Histogram* wall = &op.wall.get();
+  get_batch_async_.count.get().inc();
+  obs::Histogram* vtime = &get_batch_async_.vtime.get();
+  obs::Histogram* wall = &get_batch_async_.wall.get();
   const double submit_vtime = sim::vnow();
   const auto submit_wall = std::chrono::steady_clock::now();
   future.on_ready([future, submit_vtime, submit_wall, vtime, wall] {
@@ -111,15 +112,6 @@ Future<T> InstrumentedConnector::record_async(const Op& op, Future<T> future) {
                       .count());
   });
   return future;
-}
-
-Future<std::optional<Bytes>> InstrumentedConnector::get_async(const Key& key) {
-  return record_async(get_async_, inner_->get_async(key));
-}
-
-Future<std::vector<std::optional<Bytes>>>
-InstrumentedConnector::get_batch_async(const std::vector<Key>& keys) {
-  return record_async(get_batch_async_, inner_->get_batch_async(keys));
 }
 
 void InstrumentedConnector::close() { inner_->close(); }

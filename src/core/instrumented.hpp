@@ -49,12 +49,11 @@ class InstrumentedConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  // Async ops forward to the inner connector's async path and record
+  // The async read forwards to the inner connector's async path and records
   // end-to-end latency (submit → completion) via an on_ready continuation.
   // The queue-wait vs service-time split for adapter-backed ops lives in
   // the async.executor.* histograms, where both sides of the hand-off are
   // visible.
-  Future<std::optional<Bytes>> get_async(const Key& key) override;
   Future<std::vector<std::optional<Bytes>>> get_batch_async(
       const std::vector<Key>& keys) override;
 
@@ -79,10 +78,6 @@ class InstrumentedConnector : public Connector {
   template <typename F>
   auto timed(const Op& op, F&& call, std::size_t items = 0);
 
-  /// Counts the op and observes end-to-end latency when `future` completes.
-  template <typename T>
-  Future<T> record_async(const Op& op, Future<T> future);
-
   std::shared_ptr<Connector> inner_;
   Op put_;
   Op get_;
@@ -92,7 +87,6 @@ class InstrumentedConnector : public Connector {
   Op get_batch_;
   Op exists_batch_;
   Op evict_batch_;
-  Op get_async_;
   Op get_batch_async_;
 };
 

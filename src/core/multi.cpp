@@ -171,10 +171,6 @@ std::vector<std::optional<Bytes>> MultiConnector::get_batch(
       });
 }
 
-Future<std::optional<Bytes>> MultiConnector::get_async(const Key& key) {
-  return child_for(key).connector->get_async(key);
-}
-
 bool MultiConnector::exists(const Key& key) {
   return child_for(key).connector->exists(key);
 }

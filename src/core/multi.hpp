@@ -76,9 +76,6 @@ class MultiConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  // Async reads route to the owning child's native implementation (an
-  // executor hop only where the child itself falls back to the adapter).
-  Future<std::optional<Bytes>> get_async(const Key& key) override;
   /// Single-child batches forward to the child's native get_batch_async;
   /// cross-child batches fall back to the sync grouped get_batch through
   /// the executor adapter.

@@ -149,18 +149,6 @@ std::vector<bool> KvClient::del_many(const std::vector<std::string>& keys) {
   return out;
 }
 
-core::Future<std::optional<Bytes>> KvClient::get_async(
-    const std::string& key) {
-  const std::size_t response_bytes =
-      server_->value_size(key, sim::vnow()).value_or(8);
-  const net::WireSample sample = wire(key.size(), response_bytes);
-  // Re-read at the arrival time so TTL expiry is judged server-side.
-  std::optional<Bytes> value = server_->get(key, sample.arrival);
-  core::Promise<std::optional<Bytes>> promise;
-  core::complete_at(promise, std::move(value), sample.completion);
-  return promise.future();
-}
-
 core::Future<std::vector<std::optional<Bytes>>> KvClient::get_many_async(
     const std::vector<std::string>& keys) {
   const double probe_now = sim::vnow();

@@ -65,8 +65,7 @@ class KvClient {
   // Completion-driven ops: issue onto the channel, return immediately with
   // a ready future stamped at the request's pipelined completion vtime.
   // The caller's clock does not advance and no executor worker is held.
-  // get_async and get_many_async back RedisConnector's async reads.
-  core::Future<std::optional<Bytes>> get_async(const std::string& key);
+  // get_many_async backs RedisConnector's async read.
   core::Future<std::vector<std::optional<Bytes>>> get_many_async(
       const std::vector<std::string>& keys);
 

@@ -10,6 +10,15 @@ namespace ps::kv {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/// Base service time per request (command parse + dispatch).
+constexpr double kBaseServiceS = 15e-6;
+/// Server-side memory bandwidth applied to payload handling.
+constexpr double kMemBps = 8e9;
+
+}  // namespace
+
 std::string kv_address(const std::string& host, const std::string& name) {
   return "redis://" + host + "/" + name;
 }
@@ -25,8 +34,7 @@ std::shared_ptr<KvServer> KvServer::start(proc::World& world,
 
 KvServer::KvServer(std::string host, KvServerOptions options)
     : host_(std::move(host)),
-      options_(std::move(options)),
-      queue_(options_.servers) {
+      options_(std::move(options)) {
   if (!options_.aof_path.empty()) {
     replay_aof();
     aof_ = std::make_unique<std::ofstream>(
@@ -38,8 +46,7 @@ KvServer::KvServer(std::string host, KvServerOptions options)
 }
 
 double KvServer::service_time(std::size_t bytes) const {
-  return options_.base_service_s +
-         static_cast<double>(bytes) / options_.mem_Bps;
+  return kBaseServiceS + static_cast<double>(bytes) / kMemBps;
 }
 
 void KvServer::append_aof(const std::string& op, const std::string& key,

@@ -27,12 +27,6 @@ namespace ps::kv {
 struct KvServerOptions {
   /// Append-only-file path for persistence; empty disables.
   std::filesystem::path aof_path;
-  /// Base service time per request (command parse + dispatch).
-  double base_service_s = 15e-6;
-  /// Server-side memory bandwidth applied to payload handling.
-  double mem_Bps = 8e9;
-  /// Number of worker threads modeled (Redis is single-threaded).
-  std::size_t servers = 1;
 };
 
 class KvServer {

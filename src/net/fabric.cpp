@@ -18,9 +18,7 @@ double Route::rtt() const {
   return 2.0 * one_way;
 }
 
-Fabric::Fabric()
-    : loopback_(loopback_profile()),
-      clock_(std::make_unique<sim::VirtualClock>()) {}
+Fabric::Fabric() : loopback_(loopback_profile()) {}
 
 Site& Fabric::add_site(std::string name, LinkProfile interconnect,
                        bool behind_nat) {

@@ -10,14 +10,12 @@
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "net/link.hpp"
-#include "sim/clock.hpp"
 
 namespace ps::net {
 
@@ -105,9 +103,6 @@ class Fabric {
   /// In-memory copy cost (serialization staging) on a host.
   double mem_copy_time(const std::string& host, std::size_t bytes) const;
 
-  sim::VirtualClock& clock() { return *clock_; }
-  const sim::VirtualClock& clock() const { return *clock_; }
-
  private:
   const LinkProfile& wan_link(const std::string& site_a,
                               const std::string& site_b) const;
@@ -116,7 +111,6 @@ class Fabric {
   std::map<std::string, Host> hosts_;
   std::map<std::pair<std::string, std::string>, LinkProfile> wan_links_;
   LinkProfile loopback_;
-  std::unique_ptr<sim::VirtualClock> clock_;
 };
 
 /// SSH tunnel cost wrapper (the Figure 9 baseline): traffic to a remote

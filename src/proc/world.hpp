@@ -1,6 +1,6 @@
 // World: one isolated simulation universe.
 //
-// A World owns the network fabric (topology + virtual clock), the service
+// A World owns the network fabric (topology + link costs), the service
 // directory (addressable substrate servers), and the simulated processes.
 // Tests construct private Worlds for isolation; a lazily created default
 // World with a single "local" host backs code that runs outside any
@@ -34,7 +34,6 @@ class World {
   const net::Fabric& fabric() const { return fabric_; }
   ServiceDirectory& services() { return services_; }
   sim::Scheduler& scheduler() { return scheduler_; }
-  sim::VirtualClock& clock() { return fabric_.clock(); }
 
   /// Creates a process pinned to `host` (which must exist in the fabric).
   Process& spawn(const std::string& name, const std::string& host);

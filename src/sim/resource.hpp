@@ -19,7 +19,7 @@
 #include <cstddef>
 #include <mutex>
 
-#include "sim/clock.hpp"
+#include "sim/vtime.hpp"
 
 namespace ps::sim {
 

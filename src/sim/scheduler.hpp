@@ -1,9 +1,8 @@
 // Deterministic discrete-event scheduler.
 //
-// Used by substrates that model asynchronous background progress in virtual
-// time — e.g. Globus transfer tasks moving through QUEUED → ACTIVE →
-// SUCCEEDED, or relay-server message hops during the peer handshake. Events
-// fire in (time, insertion-order) order, so runs are fully deterministic.
+// Events fire in (time, insertion-order) order, so runs are fully
+// deterministic. No substrate drives it today (each World owns one); it is
+// kept as a candidate tool for stepping actors in vtime order.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +11,7 @@
 #include <queue>
 #include <vector>
 
-#include "sim/clock.hpp"
+#include "sim/vtime.hpp"
 
 namespace ps::sim {
 

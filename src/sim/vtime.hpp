@@ -8,9 +8,10 @@
 // machine-independent timings while the real data path still executes.
 #pragma once
 
-#include "sim/clock.hpp"
-
 namespace ps::sim {
+
+/// Virtual time in seconds.
+using SimTime = double;
 
 /// The calling thread's current virtual time (seconds).
 SimTime vnow();

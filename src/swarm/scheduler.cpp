@@ -32,6 +32,12 @@ void observe(const std::string& name, double seconds) {
 /// load-balance; real per-source estimates take over from wave two.
 constexpr double kUnknownRatePrior = 1e-9;
 
+/// A backend is slow when its wave exceeds kSlowFactor x the deadline
+/// reference (best per-byte rate seen in the same wave x its bytes).
+constexpr double kSlowFactor = 4.0;
+/// Deadline floor, so tiny waves don't flag jitter as slowness.
+constexpr double kMinTimeoutS = 2e-3;
+
 }  // namespace
 
 ChunkScheduler::ChunkScheduler(const std::vector<Backend>& backends,
@@ -239,12 +245,11 @@ void ChunkScheduler::run_wave(
         // Verification is real compute on the resolve path: it is charged
         // here, on the fetching backend's clock, chunk by chunk; the hashing
         // itself runs once the wave joins.
-        if (!slot.failed && options_.hash_Bps > 0) {
+        if (!slot.failed) {
           for (std::size_t i = 0; i < slot.chunks.size(); ++i) {
             const std::optional<Bytes>& value = (*slot.values)[i];
             if (value) {
-              sim::vadvance(static_cast<double>(value->size()) /
-                            options_.hash_Bps);
+              sim::vadvance(static_cast<double>(value->size()) / kHashBps);
             }
           }
         }
@@ -326,9 +331,8 @@ void ChunkScheduler::run_wave(
     const double per_byte =
         slot.bytes > 0 ? duration / static_cast<double>(slot.bytes) : 0.0;
     const double deadline =
-        options_.slow_factor *
-        std::max(ref_per_byte * static_cast<double>(slot.bytes),
-                 options_.min_timeout_s);
+        kSlowFactor * std::max(ref_per_byte * static_cast<double>(slot.bytes),
+                               kMinTimeoutS);
     // A source already flagged slow only gets chunks as the replica of last
     // resort; re-flagging it would strand them, so accept what it sent.
     const bool timed_out = !src.slow && active >= 2 && duration > deadline;

@@ -15,7 +15,7 @@
 //
 //   * accepts verified chunks, advancing the backend's pipeline frontier;
 //   * re-requests a corrupt or missing chunk from another untried replica;
-//   * declares a backend slow when its wave ran past slow_factor x the best
+//   * declares a backend slow when its wave ran past kSlowFactor x the best
 //     per-byte rate observed in the same wave, DISCARDS its chunks without
 //     merging its completion vtime (the whole point: the client stopped
 //     waiting at the deadline, so the slow source must not drag the clock),
@@ -53,6 +53,10 @@ struct Backend {
   std::shared_ptr<core::Connector> connector;
 };
 
+/// Modeled SHA-256 throughput used to charge verification (and manifest
+/// construction) virtual time.
+inline constexpr double kHashBps = 4e9;
+
 struct SwarmOptions {
   /// Chunk payload size; the last chunk of an object may be shorter.
   std::uint64_t chunk_size = 4ull << 20;
@@ -63,14 +67,6 @@ struct SwarmOptions {
   std::uint32_t replication = 2;
   /// Chunks fetched per backend per wave (one pipelined get_batch each).
   std::uint32_t pipeline_depth = 4;
-  /// A backend is slow when its wave exceeds slow_factor x the deadline
-  /// reference (best per-byte rate seen in the same wave x its bytes).
-  double slow_factor = 4.0;
-  /// Deadline floor, so tiny waves don't flag jitter as slowness.
-  double min_timeout_s = 2e-3;
-  /// Modeled SHA-256 throughput used to charge verification (and manifest
-  /// construction) virtual time.
-  double hash_Bps = 4e9;
   /// Worker threads on the connector's private executor.
   std::size_t fetch_workers = 4;
 };

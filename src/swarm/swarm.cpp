@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <mutex>
 
 #include "common/error.hpp"
@@ -17,12 +16,6 @@
 namespace ps::swarm {
 
 namespace {
-
-std::string fmt_param(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void count(const std::string& name, std::uint64_t n = 1) {
   if (obs::enabled()) obs::MetricsRegistry::ambient().counter(name).inc(n);
@@ -75,9 +68,6 @@ core::ConnectorConfig SwarmConnector::config() const {
   cfg.params["chunk_threshold"] = std::to_string(options_.chunk_threshold);
   cfg.params["replication"] = std::to_string(options_.replication);
   cfg.params["pipeline_depth"] = std::to_string(options_.pipeline_depth);
-  cfg.params["slow_factor"] = fmt_param(options_.slow_factor);
-  cfg.params["min_timeout_s"] = fmt_param(options_.min_timeout_s);
-  cfg.params["hash_Bps"] = fmt_param(options_.hash_Bps);
   cfg.params["fetch_workers"] = std::to_string(options_.fetch_workers);
   return cfg;
 }
@@ -121,7 +111,7 @@ core::Key SwarmConnector::put_chunked(BytesView data) {
   const Manifest manifest = build_manifest(
       data, options_.chunk_size,
       static_cast<std::uint32_t>(backends_.size()), options_.replication,
-      options_.hash_Bps);
+      kHashBps);
   const Bytes manifest_bytes = serde::to_bytes(manifest);
   const core::Key manifest_key{
       .object_id = kManifestPrefix + Uuid::random().str(), .meta = {}};
@@ -346,9 +336,6 @@ std::shared_ptr<core::Connector> reconstruct_swarm(
       static_cast<std::uint32_t>(std::stoul(cfg.param("replication")));
   options.pipeline_depth =
       static_cast<std::uint32_t>(std::stoul(cfg.param("pipeline_depth")));
-  options.slow_factor = std::stod(cfg.param("slow_factor"));
-  options.min_timeout_s = std::stod(cfg.param("min_timeout_s"));
-  options.hash_Bps = std::stod(cfg.param("hash_Bps"));
   options.fetch_workers = std::stoul(cfg.param("fetch_workers"));
   return std::make_shared<SwarmConnector>(std::move(backends), options);
 }

@@ -79,14 +79,6 @@ TEST(Future, WaitMergesCompletingThreadsVtime) {
   EXPECT_GE(sim::vnow(), 1.25);  // waiter merged the completion time
 }
 
-TEST(Future, MakeReadyStampsCurrentVtime) {
-  sim::vset(2.0);
-  Future<int> future = make_ready_future(9);
-  EXPECT_TRUE(future.ready());
-  EXPECT_DOUBLE_EQ(future.done_vtime(), 2.0);
-  EXPECT_EQ(future.get(), 9);
-}
-
 TEST(Future, OnReadyDeferredRunsOnCompletingThread) {
   Promise<int> promise;
   Future<int> future = promise.future();
@@ -101,7 +93,9 @@ TEST(Future, OnReadyDeferredRunsOnCompletingThread) {
 }
 
 TEST(Future, OnReadyRunsInlineWhenAlreadyComplete) {
-  Future<int> future = make_ready_future(3);
+  Promise<int> promise;
+  promise.set_value(3);
+  Future<int> future = promise.future();
   std::thread::id callback_thread;
   future.on_ready([&callback_thread] {
     callback_thread = std::this_thread::get_id();
@@ -401,8 +395,8 @@ TEST_F(AsyncTest, ProxyAsyncResolveOverlapsCompute) {
 // --------------------------------------------------- store async fetches ---
 
 /// Delegates synchronous ops to an in-process LocalConnector but keeps the
-/// base-class executor-backed async adapters and the default looping
-/// get_batch, so Store's async paths genuinely cross threads here. The
+/// base-class executor-backed get_batch_async adapter and the default
+/// looping get_batch, so async reads genuinely cross threads here. The
 /// small wall-clock delay in get() widens race windows for TSan.
 class AdapterConnector : public Connector {
  public:
@@ -425,30 +419,25 @@ TEST_F(AsyncTest, DefaultAsyncAdaptersRideTheSharedExecutor) {
   proc::ProcessScope scope(*process_);
   AdapterConnector connector;
   const Key key = connector.put(Bytes("abc"));
+  const obs::Counter& submitted =
+      obs::MetricsRegistry::global().counter("async.executor.submitted");
+  const std::uint64_t submitted_before = submitted.value();
 
   // .get() (by value) — .wait()'s reference would dangle once the
   // temporary future releases the shared state.
-  const std::optional<Bytes> got = connector.get_async(key).get();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "abc");
+  const std::vector<std::optional<Bytes>> got =
+      connector.get_batch_async({key}).get();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], "abc");
 
   const Key stored = connector.put(Bytes("xyz"));
   connector.evict(key);
-  EXPECT_EQ(connector.get_async(key).get(), std::nullopt);
   const std::vector<std::optional<Bytes>> batch =
       connector.get_batch_async({stored, key}).get();
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0], "xyz");
   EXPECT_EQ(batch[1], std::nullopt);
-}
-
-TEST_F(AsyncTest, LocalConnectorAsyncOpsCompleteInline) {
-  proc::ProcessScope scope(*process_);
-  LocalConnector connector;
-  const Key key = connector.put(Bytes("abc"));
-  Future<std::optional<Bytes>> get = connector.get_async(key);
-  EXPECT_TRUE(get.ready());  // native override: no executor hop
-  EXPECT_EQ(*get.wait(), "abc");
+  EXPECT_EQ(submitted.value(), submitted_before + 2);  // one job per read
 }
 
 /// Store over `connector` with a deserializer that counts invocations, so

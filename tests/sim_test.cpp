@@ -4,58 +4,12 @@
 #include <thread>
 #include <vector>
 
-#include "sim/clock.hpp"
 #include "sim/resource.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/vtime.hpp"
 
 namespace ps::sim {
 namespace {
-
-// ---------------------------------------------------------------- clock ----
-
-TEST(VirtualClock, StartsAtZero) {
-  VirtualClock c;
-  EXPECT_DOUBLE_EQ(c.now(), 0.0);
-}
-
-TEST(VirtualClock, AdvanceAccumulates) {
-  VirtualClock c;
-  c.advance(1.5);
-  c.advance(0.5);
-  EXPECT_DOUBLE_EQ(c.now(), 2.0);
-}
-
-TEST(VirtualClock, AdvanceToIsMonotonic) {
-  VirtualClock c;
-  c.advance_to(5.0);
-  c.advance_to(3.0);  // must not go backwards
-  EXPECT_DOUBLE_EQ(c.now(), 5.0);
-}
-
-TEST(VirtualClock, NegativeAdvanceThrows) {
-  VirtualClock c;
-  EXPECT_THROW(c.advance(-1.0), std::invalid_argument);
-}
-
-TEST(VirtualClock, ResetReturnsToZero) {
-  VirtualClock c;
-  c.advance(10.0);
-  c.reset();
-  EXPECT_DOUBLE_EQ(c.now(), 0.0);
-}
-
-TEST(VirtualClock, ConcurrentAdvancesSum) {
-  VirtualClock c;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&c] {
-      for (int i = 0; i < 1000; ++i) c.advance(0.001);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_NEAR(c.now(), 8.0, 1e-6);
-}
 
 // ------------------------------------------------------------- resource ----
 

@@ -25,10 +25,11 @@
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics` the demo proxy's
 #      lifecycle spans (its cross-site resolve and the store's connector
-#      fetch inside it, each with a nonzero duration),
-#      `psctl metrics --prom` a Prometheus snapshot, and
-#      `psctl stream stats` a per-topic table with the expected demo-topic
-#      rows;
+#      fetch inside it, each with a nonzero duration) and nonzero vtime on
+#      the file store's async reads, `psctl metrics --prom` a Prometheus
+#      snapshot, `psctl stream stats` a per-topic table with the expected
+#      demo-topic rows, and `psctl slo` a passing demo SLO set whose async
+#      objective has enough samples to be evaluated;
 #   4. bench-smoke: fast deterministic benches rerun with --json (each with
 #      the same flags its baseline was blessed with), the artifacts
 #      re-validate against the schema (`psctl bench check`) and must match
@@ -122,6 +123,10 @@ grep -q '^  store\.proxy ' <<<"${LIFECYCLE}"
 grep -q '^  proxy\.resolve ' <<<"${LIFECYCLE}"
 grep -qE '^  proxy\.resolve .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
 grep -qE '^  store\.fetch .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
+# The file store's async reads must time real disk reads: a key the file
+# store never wrote reads as a free miss, and its mean would print 0.
+grep -qE '^connector\.file\.get_batch_async\.vtime +[1-9][0-9]* +[0-9.]*[1-9]' \
+  <<<"${METRICS_TABLE}"
 PROM_SNAPSHOT="$(./build/tools/psctl metrics --prom)"
 grep -q '^# TYPE ps_' <<<"${PROM_SNAPSHOT}"
 # The new summary exposition must be present alongside counters/gauges.
@@ -139,6 +144,10 @@ grep -q '"updates":{"published"' <<<"${STREAM_JSON}"
 ./build/tools/psctl slo
 SLO_JSON="$(./build/tools/psctl slo --json)"
 grep -q '"passed":1' <<<"${SLO_JSON}"
+# The async objective must be evaluated (enough samples) and pass, not be
+# skipped as insufficient_data.
+grep -qE '"name":"demo\.async\.service\.p99",[^}]*"status":"pass"' \
+  <<<"${SLO_JSON}"
 # The Prometheus form must expose per-objective verdict gauges.
 SLO_PROM="$(./build/tools/psctl slo --prom)"
 grep -q '^# TYPE ps_slo_status gauge' <<<"${SLO_PROM}"

@@ -537,13 +537,23 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
 
     // Async path: a batched resolve and an async proxy resolve, so the
     // async.executor.* queue/saturation metrics and the per-connector
-    // get_batch series have data. The file store's connector().get_async
-    // rides the executor adapter and keeps the adapter series fed.
+    // get_batch series have data. The file store's one-key get_batch_async
+    // reads ride the executor adapter over files the file store wrote, so
+    // each job pays a disk read and demo.async.service.p99 has samples.
     {
       std::vector<std::string> values(8, std::string(1024, 'a'));
       const std::vector<core::Key> keys = local->put_batch(values);
       local->resolve_batch<std::string>(keys);
-      file->connector().get_async(keys.front()).wait();
+      std::vector<core::Future<std::vector<std::optional<Bytes>>>> reads;
+      for (const core::Key& key : file->put_batch(values)) {
+        reads.push_back(file->connector().get_batch_async({key}));
+      }
+      for (auto& read : reads) {
+        if (!read.wait().front()) {
+          std::fprintf(stderr, "psctl: demo file read missed\n");
+          return 1;
+        }
+      }
       core::Proxy<std::string> warm =
           local->proxy(std::string("async-demo"));
       warm.resolve_async();
@@ -558,10 +568,10 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       kv::KvClient rpc_demo(
           kv::kv_address(tb.theta_compute0, "psctl-rpc-demo"));
       rpc_demo.set("warm", std::string(256, 'r'));
-      std::vector<core::Future<std::optional<Bytes>>> ladder;
+      std::vector<core::Future<std::vector<std::optional<Bytes>>>> ladder;
       ladder.reserve(8);
       for (int i = 0; i < 8; ++i) {
-        ladder.push_back(rpc_demo.get_async("warm"));
+        ladder.push_back(rpc_demo.get_many_async({"warm"}));
       }
       for (auto& pending : ladder) pending.wait();
     }

@@ -1,32 +1,28 @@
 // Completion-driven wire protocol microbenchmark: what pipelined in-flight
-// requests buy on one RPC channel, from raw RpcClient ladders up through the
-// native-async connector protocol.
+// requests buy on one channel, from raw RpcClient ladders up to the kv
+// client's reads of objects a RedisConnector stored.
 //
 // Two comparisons, both in deterministic virtual time:
 //   * sequential vs pipelined RPC ladder — N echo calls one round trip at a
 //     time (sum-of-round-trips) against N call_async issued back-to-back on
 //     one channel (request transfer, FIFO service, and response transfer of
 //     consecutive requests overlap: total is ~max-of-pipeline);
-//   * async-connector in-flight scaling — 1..64 outstanding RedisConnector
-//     reads on the kv channel, each a one-key get_batch_async (a one-key
-//     MGET is charged exactly like a GET for values of 8 bytes or more).
-//     Native completion-driven ops hold ZERO executor workers while in
+//   * kv in-flight scaling — 1..64 outstanding reads of RedisConnector
+//     objects on the kv channel, each a one-key KvClient::get_many_async (a
+//     one-key MGET is charged exactly like a GET for values of 8 bytes or
+//     more). The Connector protocol is synchronous; asynchrony lives at the
+//     wire, whose completion-driven ops hold ZERO executor workers while in
 //     flight, hard-asserted via the async.executor.submitted counter
 //     (delta must be 0 across the run).
 // Both wins are hard-asserted so the blessed baseline encodes them and the
 // CI diff gate fails if either regresses.
-//
-// --force-adapter wraps the connector so the base-class sync->async executor
-// adapter runs instead of the native override; the zero-occupancy assert
-// then fails and the bench exits nonzero. CI uses this as the negative gate
-// proving the assert has teeth.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "connectors/redis.hpp"
+#include "kv/client.hpp"
 #include "kv/server.hpp"
 #include "obs/metrics.hpp"
 #include "rpc/rpc.hpp"
@@ -42,36 +38,6 @@ std::uint64_t executor_submitted() {
       .counter("async.executor.submitted")
       .value();
 }
-
-/// Forwards every sync op to the wrapped connector but deliberately keeps
-/// the base-class get_batch_async default, so async reads fall back to
-/// parking a shared-executor worker per request. Exists only to prove the
-/// bench's zero-executor-occupancy assert can fail.
-class AdapterOnlyConnector : public core::Connector {
- public:
-  explicit AdapterOnlyConnector(std::shared_ptr<core::Connector> inner)
-      : inner_(std::move(inner)) {}
-
-  std::string type() const override { return inner_->type(); }
-  core::ConnectorConfig config() const override { return inner_->config(); }
-  core::ConnectorTraits traits() const override { return inner_->traits(); }
-  core::Key put(BytesView data) override { return inner_->put(data); }
-  std::vector<core::Key> put_batch(const std::vector<Bytes>& items) override {
-    return inner_->put_batch(items);
-  }
-  std::optional<Bytes> get(const core::Key& key) override {
-    return inner_->get(key);
-  }
-  std::vector<std::optional<Bytes>> get_batch(
-      const std::vector<core::Key>& keys) override {
-    return inner_->get_batch(keys);
-  }
-  bool exists(const core::Key& key) override { return inner_->exists(key); }
-  void evict(const core::Key& key) override { inner_->evict(key); }
-
- private:
-  std::shared_ptr<core::Connector> inner_;
-};
 
 double run_sequential(rpc::RpcClient& client, const Bytes& payload,
                       int depth) {
@@ -101,23 +67,22 @@ double run_pipelined(rpc::RpcClient& client, const Bytes& payload,
   return elapsed.elapsed();
 }
 
-double run_connector_ladder(core::Connector& connector,
-                            const std::vector<core::Key>& keys) {
+double run_kv_ladder(kv::KvClient& client, const std::vector<core::Key>& keys) {
   sim::VtimeScope elapsed;
   std::vector<core::Future<std::vector<std::optional<Bytes>>>> ladder;
   ladder.reserve(keys.size());
   for (const core::Key& key : keys) {
-    ladder.push_back(connector.get_batch_async({key}));
+    ladder.push_back(client.get_many_async({key.object_id}));
   }
   for (auto& pending : ladder) {
     if (!pending.wait().front()) {
-      throw Error("micro_rpc: connector ladder lost an object");
+      throw Error("micro_rpc: kv ladder lost an object");
     }
   }
   return elapsed.elapsed();
 }
 
-int run(const ps::bench::Args& args, bool force_adapter) {
+int run(const ps::bench::Args& args) {
   testbed::Testbed tb = testbed::build();
   proc::Process& client_proc = tb.world->spawn("rpc-client",
                                                tb.theta_compute0);
@@ -130,16 +95,14 @@ int run(const ps::bench::Args& args, bool force_adapter) {
   proc::ProcessScope scope(client_proc);
   rpc::RpcClient client(
       rpc::rpc_address("margo", tb.theta_login, "rpc-bench"));
-  std::shared_ptr<core::Connector> connector =
-      std::make_shared<connectors::RedisConnector>(
-          kv::kv_address(tb.theta_login, "rpc-bench-kv"));
-  if (force_adapter) {
-    connector = std::make_shared<AdapterOnlyConnector>(connector);
-  }
+  const std::string kv_address =
+      kv::kv_address(tb.theta_login, "rpc-bench-kv");
+  connectors::RedisConnector connector(kv_address);
+  kv::KvClient kv_client(kv_address);
 
   // Everything below must complete without parking a single executor
-  // worker: call_async and the native connector *_async ops are
-  // completion-driven, not thread-per-request.
+  // worker: call_async and get_many_async are completion-driven, not
+  // thread-per-request.
   const std::uint64_t submitted_before = executor_submitted();
 
   const std::size_t payload_size = args.max_size != 0
@@ -155,7 +118,8 @@ int run(const ps::bench::Args& args, bool force_adapter) {
       "sequential = N blocking echo round trips (sum-of-round-trips);\n"
       "pipelined = N call_async in flight on one channel "
       "(~max-of-pipeline);\nconnector = N outstanding one-key "
-      "RedisConnector get_batch_async, zero executor workers");
+      "KvClient get_many_async of RedisConnector objects, zero executor "
+      "workers");
   ps::bench::print_row({"depth", "sequential", "pipelined"});
 
   double deepest_sequential = 0.0;
@@ -201,7 +165,7 @@ int run(const ps::bench::Args& args, bool force_adapter) {
                 std::to_string(deepest_sequential) + "s");
   }
 
-  // Part 2: native-async connector in-flight scaling on the kv channel.
+  // Part 2: in-flight scaling of one-key kv reads on the kv channel.
   ps::bench::print_row({"inflight", "total", "per-op"});
   const std::size_t object_size = 65'536;
   double per_op_single = 0.0;
@@ -212,8 +176,8 @@ int run(const ps::bench::Args& args, bool force_adapter) {
     for (int i = 0; i < inflight; ++i) {
       values.push_back(pattern_bytes(object_size, seed++));
     }
-    const std::vector<core::Key> keys = connector->put_batch(values);
-    const double total = run_connector_ladder(*connector, keys);
+    const std::vector<core::Key> keys = connector.put_batch(values);
+    const double total = run_kv_ladder(kv_client, keys);
     const double per_op = total / inflight;
     const std::string suffix = std::to_string(inflight);
     ps::bench::series("micro_rpc.conn_async." + suffix).observe(total);
@@ -227,15 +191,15 @@ int run(const ps::bench::Args& args, bool force_adapter) {
   // Wire-level concurrency must amortize: 64 outstanding ops share the
   // channel, so the per-op cost has to fall well below a lone round trip.
   if (per_op_deepest >= 0.6 * per_op_single) {
-    throw Error("micro_rpc: 64-deep connector ladder per-op cost " +
+    throw Error("micro_rpc: 64-deep kv ladder per-op cost " +
                 std::to_string(per_op_deepest) +
                 "s did not amortize vs a single round trip " +
                 std::to_string(per_op_single) + "s");
   }
 
   // Zero-executor-occupancy: every async op above was completion-driven.
-  // One parked worker anywhere (e.g. a base-class adapter sneaking back in)
-  // bumps async.executor.submitted and fails the bench.
+  // One parked worker anywhere bumps async.executor.submitted and fails the
+  // bench.
   const std::uint64_t submitted_delta =
       executor_submitted() - submitted_before;
   if (submitted_delta != 0) {
@@ -254,22 +218,9 @@ int run(const ps::bench::Args& args, bool force_adapter) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --force-adapter is bench-local (the CI negative gate); strip it before
-  // the shared flag parser sees it.
-  bool force_adapter = false;
-  std::vector<char*> filtered;
-  filtered.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--force-adapter") {
-      force_adapter = true;
-    } else {
-      filtered.push_back(argv[i]);
-    }
-  }
-  const ps::bench::Args args = ps::bench::parse_args(
-      "micro_rpc", static_cast<int>(filtered.size()), filtered.data());
+  const ps::bench::Args args = ps::bench::parse_args("micro_rpc", argc, argv);
   try {
-    return run(args, force_adapter);
+    return run(args);
   } catch (const ps::Error& err) {
     std::fprintf(stderr, "micro_rpc: %s\n", err.what());
     return 1;

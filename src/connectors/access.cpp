@@ -53,13 +53,31 @@ std::optional<Bytes> AccessControlConnector::get(const core::Key& key) {
   return inner_->get(key);
 }
 
+std::vector<std::optional<Bytes>> AccessControlConnector::get_batch(
+    const std::vector<core::Key>& keys) {
+  if (keys.empty()) return {};
+  check_access(keys.front());
+  return inner_->get_batch(keys);
+}
+
 bool AccessControlConnector::exists(const core::Key& key) {
   check_access(key);
   return inner_->exists(key);
 }
 
+std::vector<bool> AccessControlConnector::exists_batch(
+    const std::vector<core::Key>& keys) {
+  if (keys.empty()) return {};
+  check_access(keys.front());
+  return inner_->exists_batch(keys);
+}
+
 void AccessControlConnector::evict(const core::Key& key) {
   inner_->evict(key);
+}
+
+void AccessControlConnector::evict_batch(const std::vector<core::Key>& keys) {
+  inner_->evict_batch(keys);
 }
 
 bool AccessControlConnector::put_at(const core::Key& key, BytesView data) {

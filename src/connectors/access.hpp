@@ -38,8 +38,15 @@ class AccessControlConnector : public core::Connector {
   core::Key put_hinted(BytesView data, const core::PutHints& hints) override;
   std::vector<core::Key> put_batch(const std::vector<Bytes>& items) override;
   std::optional<Bytes> get(const core::Key& key) override;
+  /// Checks access once (it depends only on the caller's site), then
+  /// forwards the whole batch, so a pipelined inner keeps one round trip.
+  std::vector<std::optional<Bytes>> get_batch(
+      const std::vector<core::Key>& keys) override;
   bool exists(const core::Key& key) override;
+  /// Checks access once, then forwards the whole batch.
+  std::vector<bool> exists_batch(const std::vector<core::Key>& keys) override;
   void evict(const core::Key& key) override;
+  void evict_batch(const std::vector<core::Key>& keys) override;
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
   void close() override { inner_->close(); }

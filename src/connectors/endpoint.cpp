@@ -3,7 +3,6 @@
 #include "common/uuid.hpp"
 #include "connectors/costs.hpp"
 #include "obs/context.hpp"
-#include "sim/vtime.hpp"
 
 namespace ps::connectors {
 
@@ -146,23 +145,6 @@ void EndpointConnector::evict(const core::Key& key) {
                  .endpoint_id = Uuid::parse(key.field("endpoint_id")),
                  .data = {}},
              0);
-}
-
-// Runs get_batch (which advances the caller's clock through the endpoint
-// legs) with the caller's clock saved/restored, and stamps the returned
-// future at the exchange's completion vtime. Same virtual cost as parking
-// the sync op on the AsyncExecutor — the worker there is seeded with the
-// submitter's clock — but no worker is occupied while the request is
-// outstanding.
-core::Future<std::vector<std::optional<Bytes>>>
-EndpointConnector::get_batch_async(const std::vector<core::Key>& keys) {
-  const double issue = sim::vnow();
-  std::vector<std::optional<Bytes>> values = get_batch(keys);
-  const double done = sim::vnow();
-  sim::vset(issue);
-  core::Promise<std::vector<std::optional<Bytes>>> promise;
-  core::complete_at(promise, std::move(values), done);
-  return promise.future();
 }
 
 namespace {

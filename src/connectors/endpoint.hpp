@@ -39,13 +39,6 @@ class EndpointConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Completion-driven read: the endpoint exchange runs inline on the
-  // caller with its clock saved and restored, and the future is stamped at
-  // the exchange's completion vtime — same cost as the executor adapter but
-  // with zero workers held while the request is outstanding.
-  core::Future<std::vector<std::optional<Bytes>>> get_batch_async(
-      const std::vector<core::Key>& keys) override;
-
   /// The endpoint this connector talks to.
   endpoint::Endpoint& home() { return *home_; }
 

@@ -83,14 +83,6 @@ void RedisConnector::evict_batch(const std::vector<core::Key>& keys) {
   client_.del_many(names);
 }
 
-core::Future<std::vector<std::optional<Bytes>>> RedisConnector::get_batch_async(
-    const std::vector<core::Key>& keys) {
-  std::vector<std::string> names;
-  names.reserve(keys.size());
-  for (const core::Key& key : keys) names.push_back(key.object_id);
-  return client_.get_many_async(names);
-}
-
 namespace {
 const core::ConnectorRegistration kRegister(
     "redis", [](const core::ConnectorConfig& cfg) {

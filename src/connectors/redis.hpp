@@ -37,13 +37,6 @@ class RedisConnector : public core::Connector {
   bool put_at(const core::Key& key, BytesView data) override;
   core::Key reserve_key() override;
 
-  // Completion-driven wire read: issues the MGET onto the kv channel and
-  // returns a future stamped at its own pipelined completion vtime — no
-  // executor worker is occupied while the request is in flight, and N
-  // outstanding reads on one channel overlap transfer and FIFO service.
-  core::Future<std::vector<std::optional<Bytes>>> get_batch_async(
-      const std::vector<core::Key>& keys) override;
-
  private:
   std::string address_;
   kv::KvClient client_;

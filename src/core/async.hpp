@@ -1,10 +1,13 @@
-// AsyncExecutor: the bounded worker pool behind every *_async operation.
+// AsyncExecutor: the bounded worker pool behind asynchronous proxy
+// resolution.
 //
 // Replaces the unbounded thread-per-op std::async pattern: all background
-// work in the resolve path — connector sync-op adapters and async proxy
-// resolution — runs on one shared pool with a bounded submission queue
-// (submit() blocks when full, back-pressuring producers instead of growing
-// without limit).
+// work in the resolve path — Proxy::resolve_async, which the faas registry
+// also uses to resolve arguments ahead — runs on one shared pool with a
+// bounded submission queue (submit() blocks when full, back-pressuring
+// producers instead of growing without limit). The Connector protocol is
+// synchronous, and the wire's async reads are completion-driven and hold
+// no worker; the swarm runs its chunk waves on a private pool of this type.
 //
 // Jobs carry their submitter's context: the worker enters the submitting
 // thread's simulated process (ProcessScope) and seeds its virtual clock
@@ -68,8 +71,7 @@ class AsyncExecutor {
   void submit(std::function<void()> fn);
 
   /// Runs `op` asynchronously and returns a future of its result; errors
-  /// thrown by `op` fail the future. This is the sync→async adapter the
-  /// default Connector::*_async implementations use.
+  /// thrown by `op` fail the future.
   template <typename T, typename F>
   Future<T> run(F op) {
     Promise<T> promise;

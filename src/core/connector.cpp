@@ -1,7 +1,5 @@
 #include "core/connector.hpp"
 
-#include "core/async.hpp"
-
 namespace ps::core {
 
 const std::string& ConnectorConfig::param(const std::string& name) const {
@@ -43,15 +41,6 @@ std::vector<bool> Connector::exists_batch(const std::vector<Key>& keys) {
 
 void Connector::evict_batch(const std::vector<Key>& keys) {
   for (const Key& key : keys) evict(key);
-}
-
-// Sync→async adapter: runs the blocking batch on the shared bounded pool.
-// The job is charged at the submitter's virtual time; waiting the future
-// merges the op's completion time (overlap realized at the merge point).
-Future<std::vector<std::optional<Bytes>>> Connector::get_batch_async(
-    const std::vector<Key>& keys) {
-  return AsyncExecutor::shared().run<std::vector<std::optional<Bytes>>>(
-      [this, keys] { return get_batch(keys); });
 }
 
 ConnectorRegistry& ConnectorRegistry::instance() {

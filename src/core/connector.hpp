@@ -6,6 +6,14 @@
 // travels to another process to reconstruct an equivalent connector there
 // (the Store re-registration mechanism of section 3.5). Third-party
 // connectors plug in through the ConnectorRegistry.
+//
+// The data path is 11 synchronous verbs: put, put_hinted, put_at,
+// reserve_key, get, exists and evict, plus the batch forms put_batch,
+// get_batch, exists_batch and evict_batch. Asynchrony lives above and
+// below the protocol, never in it: a proxy overlaps its resolve with
+// computation (Proxy::resolve_async), and the wire clients issue
+// completion-driven requests (kv::KvClient::get_many_async,
+// rpc::RpcClient::call_async).
 #pragma once
 
 #include <functional>
@@ -20,7 +28,6 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
-#include "core/future.hpp"
 #include "core/key.hpp"
 #include "serde/serde.hpp"
 
@@ -131,24 +138,6 @@ class Connector {
   /// costs one round trip (the cleanup dual of exists_batch) — stream
   /// payload eviction and swarm manifest cleanup issue one per backend.
   virtual void evict_batch(const std::vector<Key>& keys);
-
-  // -- asynchronous protocol ------------------------------------------------
-  //
-  // One read has a futures-based form: get_batch_async serves swarm chunk
-  // waves and bench/micro_rpc's in-flight ladder (one one-key batch per
-  // op). Asynchronous resolution of a single object belongs to the proxy
-  // (Proxy::resolve_async). Writes, probes and evictions are synchronous
-  // only, and the sync verbs are the virtual primitives: get is not derived
-  // from get_batch_async, because a one-key batch is charged as a batch.
-  // Contract: the connector must outlive any future it returned; waiting a
-  // future merges the operation's virtual completion time (core/future.hpp).
-
-  /// Begins retrieving many objects; the future completes with the batch,
-  /// position-for-position. The default adapts get_batch through the
-  /// executor; completion-driven connectors (kv, endpoint) override it to
-  /// issue the batch onto the wire with no worker held.
-  virtual Future<std::vector<std::optional<Bytes>>> get_batch_async(
-      const std::vector<Key>& keys);
 
   /// Releases resources. Further operations may throw ConnectorError.
   virtual void close() {}

@@ -1,16 +1,15 @@
-// Completion-callback promise/future for the asynchronous operation core.
+// Virtual-time promise/future for the asynchronous operation core.
 //
-// ps::core::Future<T> is the result handle of Connector::get_batch_async,
-// a proxy's pending resolve and the completion-driven wire ops. Unlike
-// std::future it is built for the simulation's virtual-time model: the
-// completing thread stamps its virtual "now" into the shared state, and
-// every waiter merges that stamp into its own clock
-// (`sim::vmerge`) — so communication started in the background overlaps
-// computation, and the eventual wait observes max(compute, transfer), the
-// paper's §5.3 async-resolve semantics. Completion callbacks (`on_ready`)
-// run on the completing thread, which keeps continuation costs charged to
-// the operation that caused them; no thread is ever spawned here (see
-// core/async.hpp for the bounded executor that runs the work).
+// ps::core::Future<T> is the result handle of a proxy's pending resolve,
+// an executor job and the completion-driven wire ops (kv::KvClient::
+// get_many_async, rpc::RpcClient::call_async). Unlike std::future it is
+// built for the simulation's virtual-time model: the completing thread
+// stamps its virtual "now" into the shared state, and every waiter merges
+// that stamp into its own clock (`sim::vmerge`) — so communication started
+// in the background overlaps computation, and the eventual wait observes
+// max(compute, transfer), the paper's §5.3 async-resolve semantics. No
+// thread is ever spawned here (see core/async.hpp for the bounded executor
+// that runs the work).
 //
 // Futures are copyable; copies share one state, and any number of threads
 // may wait on it (each merges the completion vtime). Values are returned
@@ -19,12 +18,10 @@
 
 #include <condition_variable>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 #include "sim/vtime.hpp"
@@ -49,15 +46,11 @@ struct FutureState {
   /// Virtual time of the completing thread at completion; merged by every
   /// waiter so the operation's cost reaches whoever consumes the result.
   sim::SimTime done_vtime = 0.0;
-  /// Continuations registered before completion; run (then released) on
-  /// the completing thread immediately after the state becomes ready.
-  std::vector<std::function<void()>> callbacks;
 };
 
 template <typename T>
 void complete(const std::shared_ptr<FutureState<T>>& state,
               std::optional<T> value, std::exception_ptr error) {
-  std::vector<std::function<void()>> callbacks;
   {
     std::lock_guard lock(state->mu);
     if (state->ready) {
@@ -67,10 +60,8 @@ void complete(const std::shared_ptr<FutureState<T>>& state,
     state->error = error;
     state->done_vtime = sim::vnow();
     state->ready = true;
-    callbacks.swap(state->callbacks);
   }
   state->cv.notify_all();
-  for (auto& callback : callbacks) callback();
 }
 
 }  // namespace detail
@@ -122,21 +113,6 @@ class Future {
     return state_->done_vtime;
   }
 
-  /// Registers `fn` to run when the future completes — on the completing
-  /// thread, after the value/error is published. If the future is already
-  /// complete, runs `fn` inline on the caller. `fn` must not throw.
-  void on_ready(std::function<void()> fn) const {
-    check_valid();
-    {
-      std::lock_guard lock(state_->mu);
-      if (!state_->ready) {
-        state_->callbacks.push_back(std::move(fn));
-        return;
-      }
-    }
-    fn();
-  }
-
   /// True when `other` shares this future's state (same operation).
   bool same_state(const Future& other) const {
     return state_ == other.state_;
@@ -165,7 +141,7 @@ class Promise {
   Future<T> future() const { return Future<T>(state_); }
 
   /// Publishes the value, stamps the calling thread's virtual time as the
-  /// completion time, wakes waiters, and runs registered callbacks.
+  /// completion time and wakes waiters.
   void set_value(T value) const {
     detail::complete(state_, std::optional<T>(std::move(value)), nullptr);
   }
@@ -180,10 +156,10 @@ class Promise {
 
 /// Completes `promise` as if the completing thread's clock read `done`:
 /// temporarily sets the caller's virtual time to `done`, publishes the value
-/// (stamping done_vtime = `done` and running continuations at that time),
-/// then restores the caller's clock. This is how completion-driven wire
-/// paths (net::PipelinedChannel) stamp each in-flight request's own
-/// completion vtime without advancing the issuing thread.
+/// (stamping done_vtime = `done`), then restores the caller's clock. This
+/// is how completion-driven wire paths (net::PipelinedChannel) stamp each
+/// in-flight request's own completion vtime without advancing the issuing
+/// thread.
 template <typename T>
 void complete_at(const Promise<T>& promise, T value, sim::SimTime done) {
   const sim::SimTime saved = sim::vnow();

@@ -1,10 +1,7 @@
 #include "core/instrumented.hpp"
 
-#include <chrono>
-
 #include "obs/context.hpp"
 #include "obs/timer.hpp"
-#include "sim/vtime.hpp"
 
 namespace ps::core {
 
@@ -25,8 +22,7 @@ InstrumentedConnector::InstrumentedConnector(std::shared_ptr<Connector> inner)
       put_batch_(inner_->type(), "put_batch", /*batch=*/true),
       get_batch_(inner_->type(), "get_batch", /*batch=*/true),
       exists_batch_(inner_->type(), "exists_batch", /*batch=*/true),
-      evict_batch_(inner_->type(), "evict_batch", /*batch=*/true),
-      get_batch_async_(inner_->type(), "get_batch_async") {}
+      evict_batch_(inner_->type(), "evict_batch", /*batch=*/true) {}
 
 std::shared_ptr<Connector> InstrumentedConnector::wrap(
     std::shared_ptr<Connector> inner) {
@@ -91,27 +87,6 @@ void InstrumentedConnector::evict(const Key& key) {
 void InstrumentedConnector::evict_batch(const std::vector<Key>& keys) {
   timed(
       evict_batch_, [&] { inner_->evict_batch(keys); }, keys.size());
-}
-
-Future<std::vector<std::optional<Bytes>>>
-InstrumentedConnector::get_batch_async(const std::vector<Key>& keys) {
-  Future<std::vector<std::optional<Bytes>>> future =
-      inner_->get_batch_async(keys);
-  if (!obs::enabled()) return future;
-  // Resolve at submit time: the completion may run on another thread (the
-  // async executor), whose ambient registry is not the submitter's site.
-  get_batch_async_.count.get().inc();
-  obs::Histogram* vtime = &get_batch_async_.vtime.get();
-  obs::Histogram* wall = &get_batch_async_.wall.get();
-  const double submit_vtime = sim::vnow();
-  const auto submit_wall = std::chrono::steady_clock::now();
-  future.on_ready([future, submit_vtime, submit_wall, vtime, wall] {
-    vtime->observe(future.done_vtime() - submit_vtime);
-    wall->observe(std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - submit_wall)
-                      .count());
-  });
-  return future;
 }
 
 void InstrumentedConnector::close() { inner_->close(); }

@@ -49,14 +49,6 @@ class InstrumentedConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  // The async read forwards to the inner connector's async path and records
-  // end-to-end latency (submit → completion) via an on_ready continuation.
-  // The queue-wait vs service-time split for adapter-backed ops lives in
-  // the async.executor.* histograms, where both sides of the hand-off are
-  // visible.
-  Future<std::vector<std::optional<Bytes>>> get_batch_async(
-      const std::vector<Key>& keys) override;
-
   Connector& inner() { return *inner_; }
   const Connector& inner() const { return *inner_; }
 
@@ -87,7 +79,6 @@ class InstrumentedConnector : public Connector {
   Op get_batch_;
   Op exists_batch_;
   Op evict_batch_;
-  Op get_batch_async_;
 };
 
 }  // namespace ps::core

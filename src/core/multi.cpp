@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "common/hex.hpp"
+#include "core/future.hpp"
 #include "serde/serde.hpp"
 
 namespace ps::core {
@@ -195,19 +196,6 @@ void MultiConnector::evict_batch(const std::vector<Key>& keys) {
       [](const Entry& entry, const std::vector<Key>& group) {
         entry.connector->evict_batch(group);
       });
-}
-
-Future<std::vector<std::optional<Bytes>>> MultiConnector::get_batch_async(
-    const std::vector<Key>& keys) {
-  if (!keys.empty()) {
-    const Entry& first = child_for(keys.front());
-    if (std::all_of(keys.begin(), keys.end(), [&](const Key& key) {
-          return &child_for(key) == &first;
-        })) {
-      return first.connector->get_batch_async(keys);
-    }
-  }
-  return Connector::get_batch_async(keys);
 }
 
 void MultiConnector::close() {

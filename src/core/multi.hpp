@@ -76,12 +76,6 @@ class MultiConnector : public Connector {
   void evict_batch(const std::vector<Key>& keys) override;
   void close() override;
 
-  /// Single-child batches forward to the child's native get_batch_async;
-  /// cross-child batches fall back to the sync grouped get_batch through
-  /// the executor adapter.
-  Future<std::vector<std::optional<Bytes>>> get_batch_async(
-      const std::vector<Key>& keys) override;
-
   /// The child connector a put of `size` bytes with `hints` would route to.
   /// Throws NoPolicyMatchError when nothing matches.
   const Entry& select(std::uint64_t size, const PutHints& hints) const;

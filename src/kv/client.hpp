@@ -9,8 +9,8 @@
 // All requests ride the calling process's net::PipelinedChannel to the
 // server. Synchronous ops advance the caller's clock to the round trip's
 // completion (identical to the pre-pipelining model for sequential
-// callers); the *_async ops issue onto the channel without advancing the
-// caller's clock and return a Future stamped at that request's own
+// callers); get_many_async issues onto the channel without advancing the
+// caller's clock and returns a Future stamped at that request's own
 // pipelined completion vtime — N outstanding requests overlap transfer and
 // FIFO service, and no thread is held while a request is in flight.
 #pragma once
@@ -62,10 +62,11 @@ class KvClient {
   /// present" results.
   std::vector<bool> del_many(const std::vector<std::string>& keys);
 
-  // Completion-driven ops: issue onto the channel, return immediately with
-  // a ready future stamped at the request's pipelined completion vtime.
-  // The caller's clock does not advance and no executor worker is held.
-  // get_many_async backs RedisConnector's async read.
+  // Completion-driven read: issues onto the channel and returns at once
+  // with a ready future stamped at the request's pipelined completion
+  // vtime. The caller's clock does not advance and no executor worker is
+  // held. The Connector protocol above is synchronous, so code that wants
+  // reads in flight on one channel issues them here.
   core::Future<std::vector<std::optional<Bytes>>> get_many_async(
       const std::vector<std::string>& keys);
 

@@ -3,9 +3,10 @@
 // Wraps any Connector and perturbs the read path on demand: added per-call
 // latency (a congested or degraded source), corrupted bytes for chosen
 // object ids (bit rot / a bad NIC), or dropped objects (a replica that
-// lost data). Writes and presence probes pass through untouched — the
-// point is to exercise the swarm scheduler's verify/repair/timeout logic,
-// whose discovery must keep seeing the replica as "present".
+// lost data). Writes, presence probes and evictions pass through untouched,
+// batches as batches — the point is to exercise the swarm scheduler's
+// verify/repair/timeout logic, whose discovery must keep seeing the replica
+// as "present".
 //
 // Faults are process-local state: config() forwards the inner connector's
 // recipe, so a proxy resolved elsewhere reconstructs the healthy channel.
@@ -59,6 +60,9 @@ class FaultInjectedConnector : public core::Connector {
     return inner_->exists_batch(keys);
   }
   void evict(const core::Key& key) override { inner_->evict(key); }
+  void evict_batch(const std::vector<core::Key>& keys) override {
+    inner_->evict_batch(keys);
+  }
   void close() override { inner_->close(); }
 
  private:

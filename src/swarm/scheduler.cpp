@@ -231,26 +231,19 @@ void ChunkScheduler::run_wave(
           keys.push_back(chunk_key(manifest_.chunks[c].hash));
         }
         try {
-          // Completion-driven fetch: kv backends issue the batch onto their
-          // pipelined channel and the wave merges that request's own
-          // completion vtime (wait()). Connectors without a native override
-          // fall back to the executor adapter — either way the wave's clock
-          // lands on the batch's wire completion. The slot keeps the future,
-          // so the batch is read in place, never copied.
-          slot.fetch = backends_[b].connector->get_batch_async(keys);
-          slot.values = &slot.fetch.wait();
+          // One pipelined batch: the job's clock lands on the batch's wire
+          // completion, and the slot keeps the batch, so it is read in
+          // place, never copied.
+          slot.values = backends_[b].connector->get_batch(keys);
         } catch (...) {
           slot.failed = true;
         }
         // Verification is real compute on the resolve path: it is charged
         // here, on the fetching backend's clock, chunk by chunk; the hashing
         // itself runs once the wave joins.
-        if (!slot.failed) {
-          for (std::size_t i = 0; i < slot.chunks.size(); ++i) {
-            const std::optional<Bytes>& value = (*slot.values)[i];
-            if (value) {
-              sim::vadvance(static_cast<double>(value->size()) / kHashBps);
-            }
+        for (const std::optional<Bytes>& value : slot.values) {
+          if (value) {
+            sim::vadvance(static_cast<double>(value->size()) / kHashBps);
           }
         }
         slot.end_vtime = sim::vnow();
@@ -273,13 +266,13 @@ void ChunkScheduler::run_wave(
     slot.status.assign(slot.chunks.size(), ChunkStatus::kMissing);
     if (slot.failed || slot.chunks.empty()) continue;
     for (std::size_t i = 0; i < slot.chunks.size(); ++i) {
-      if ((*slot.values)[i]) fetched.emplace_back(b, i);
+      if (slot.values[i]) fetched.emplace_back(b, i);
     }
   }
   parallel_for(0, fetched.size(), [&](std::size_t k) {
     const auto [b, i] = fetched[k];
     WaveSlot& slot = slots[b];
-    const Bytes& value = *(*slot.values)[i];
+    const Bytes& value = *slot.values[i];
     const ChunkRef& ref = manifest_.chunks[slot.chunks[i]];
     if (value.size() != ref.size || Sha256::hex_digest(value) != ref.hash) {
       slot.status[i] = ChunkStatus::kCorrupt;

@@ -92,11 +92,9 @@ class ChunkScheduler {
     std::uint64_t bytes = 0;
     double issue_vtime = 0.0;  // job start after frontier/floor merge
     double end_vtime = 0.0;    // job's vnow after fetch + verification
-    /// The batch fetch, which owns the fetched values. Verification reads
-    /// them through `values`, never through fetch.wait(): that would merge
-    /// the fetch's vtime into the verifying thread.
-    core::Future<std::vector<std::optional<Bytes>>> fetch;
-    const std::vector<std::optional<Bytes>>* values = nullptr;
+    /// The fetched batch, position-for-position with `chunks`; verified and
+    /// placed in place once the wave joins.
+    std::vector<std::optional<Bytes>> values;
     std::vector<ChunkStatus> status;
     bool failed = false;  // the backend threw; treat as all-missing + dead
   };

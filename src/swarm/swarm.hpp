@@ -69,10 +69,10 @@ class SwarmConnector : public core::Connector {
 
   std::vector<Backend> backends_;
   SwarmOptions options_;
-  /// Private pool for chunk waves: the default get_batch_async adapter runs
-  /// this connector's get_batch on the *shared* executor, so scheduling
-  /// waves there too could deadlock the pool against itself under
-  /// concurrent resolves.
+  /// Private pool for chunk waves: a swarm resolve may itself run on the
+  /// *shared* executor (Proxy::resolve_async, the faas resolve-ahead), so
+  /// scheduling its waves there too could deadlock the pool against itself
+  /// under concurrent resolves.
   std::unique_ptr<core::AsyncExecutor> executor_;
 };
 

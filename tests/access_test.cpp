@@ -2,9 +2,16 @@
 // permitted (paper section 3.3's patient-health-information example).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "connectors/access.hpp"
 #include "connectors/local.hpp"
+#include "connectors/redis.hpp"
 #include "core/store.hpp"
+#include "kv/server.hpp"
+#include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
 
@@ -65,6 +72,60 @@ TEST_F(AccessTest, DisallowedSiteDenied) {
   proc::ProcessScope scope(*cloud_);
   EXPECT_THROW(connector->get(key), AccessDeniedError);
   EXPECT_THROW(connector->exists(key), AccessDeniedError);
+}
+
+// Over a pipelined inner, each batch verb stays one kv request: access is
+// checked once per batch (it depends only on the caller's site), and a
+// denied batch sends nothing.
+TEST_F(AccessTest, BatchVerbsForwardAsOneKvRequest) {
+  obs::set_enabled(true);
+  kv::KvServer::start(*world_, "hospital-node", "phi-kv");
+  std::shared_ptr<AccessControlConnector> connector;
+  std::vector<core::Key> keys;
+  {
+    proc::ProcessScope scope(*hospital_);
+    connector = std::make_shared<AccessControlConnector>(
+        std::make_shared<RedisConnector>(
+            kv::kv_address("hospital-node", "phi-kv")),
+        std::set<std::string>{"hospital", "hpc"});
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      keys.push_back(connector->put(pattern_bytes(100, i)));
+    }
+  }
+  const obs::Counter& requests =
+      obs::MetricsRegistry::global().counter("rpc.requests");
+  const auto requests_for = [&](const std::function<void()>& call) {
+    const std::uint64_t before = requests.value();
+    call();
+    return requests.value() - before;
+  };
+  {
+    proc::ProcessScope scope(*cloud_);
+    EXPECT_EQ(requests_for([&] {
+                EXPECT_THROW(connector->get_batch(keys), AccessDeniedError);
+              }),
+              0u);
+    EXPECT_EQ(requests_for([&] {
+                EXPECT_THROW(connector->exists_batch(keys),
+                             AccessDeniedError);
+              }),
+              0u);
+  }
+  proc::ProcessScope scope(*hpc_);
+  EXPECT_EQ(requests_for([&] {
+              const auto values = connector->get_batch(keys);
+              ASSERT_EQ(values.size(), keys.size());
+              EXPECT_EQ(values[3], pattern_bytes(100, 3));
+            }),
+            1u);
+  EXPECT_EQ(requests_for([&] {
+              EXPECT_EQ(connector->exists_batch(keys),
+                        std::vector<bool>(keys.size(), true));
+            }),
+            1u);
+  EXPECT_EQ(requests_for([&] { connector->evict_batch(keys); }), 1u);
+  EXPECT_EQ(connector->exists_batch(keys),
+            std::vector<bool>(keys.size(), false));
 }
 
 TEST_F(AccessTest, ProxyCirculatesButResolvesOnlyWherePermitted) {

@@ -79,30 +79,6 @@ TEST(Future, WaitMergesCompletingThreadsVtime) {
   EXPECT_GE(sim::vnow(), 1.25);  // waiter merged the completion time
 }
 
-TEST(Future, OnReadyDeferredRunsOnCompletingThread) {
-  Promise<int> promise;
-  Future<int> future = promise.future();
-  std::thread::id callback_thread;
-  future.on_ready([&callback_thread] {
-    callback_thread = std::this_thread::get_id();
-  });
-  std::thread worker([&promise] { promise.set_value(3); });
-  const std::thread::id worker_id = worker.get_id();
-  worker.join();
-  EXPECT_EQ(callback_thread, worker_id);
-}
-
-TEST(Future, OnReadyRunsInlineWhenAlreadyComplete) {
-  Promise<int> promise;
-  promise.set_value(3);
-  Future<int> future = promise.future();
-  std::thread::id callback_thread;
-  future.on_ready([&callback_thread] {
-    callback_thread = std::this_thread::get_id();
-  });
-  EXPECT_EQ(callback_thread, std::this_thread::get_id());
-}
-
 // ------------------------------------------------------------- executor ----
 
 /// Fixture giving each test a one-host world and a process to run in, so
@@ -394,13 +370,12 @@ TEST_F(AsyncTest, ProxyAsyncResolveOverlapsCompute) {
 
 // --------------------------------------------------- store async fetches ---
 
-/// Delegates synchronous ops to an in-process LocalConnector but keeps the
-/// base-class executor-backed get_batch_async adapter and the default
-/// looping get_batch, so async reads genuinely cross threads here. The
-/// small wall-clock delay in get() widens race windows for TSan.
-class AdapterConnector : public Connector {
+/// An in-process LocalConnector whose get() sleeps briefly in wall-clock
+/// time, with the default looping get_batch, so racing readers overlap. The
+/// delay widens race windows for TSan.
+class SlowGetConnector : public Connector {
  public:
-  std::string type() const override { return "adapter-test"; }
+  std::string type() const override { return "slow-get-test"; }
   ConnectorConfig config() const override { return inner_.config(); }
   ConnectorTraits traits() const override { return inner_.traits(); }
   Key put(BytesView data) override { return inner_.put(data); }
@@ -414,31 +389,6 @@ class AdapterConnector : public Connector {
  private:
   LocalConnector inner_;
 };
-
-TEST_F(AsyncTest, DefaultAsyncAdaptersRideTheSharedExecutor) {
-  proc::ProcessScope scope(*process_);
-  AdapterConnector connector;
-  const Key key = connector.put(Bytes("abc"));
-  const obs::Counter& submitted =
-      obs::MetricsRegistry::global().counter("async.executor.submitted");
-  const std::uint64_t submitted_before = submitted.value();
-
-  // .get() (by value) — .wait()'s reference would dangle once the
-  // temporary future releases the shared state.
-  const std::vector<std::optional<Bytes>> got =
-      connector.get_batch_async({key}).get();
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], "abc");
-
-  const Key stored = connector.put(Bytes("xyz"));
-  connector.evict(key);
-  const std::vector<std::optional<Bytes>> batch =
-      connector.get_batch_async({stored, key}).get();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0], "xyz");
-  EXPECT_EQ(batch[1], std::nullopt);
-  EXPECT_EQ(submitted.value(), submitted_before + 2);  // one job per read
-}
 
 /// Store over `connector` with a deserializer that counts invocations, so
 /// tests can assert how many objects a read decoded.
@@ -503,7 +453,7 @@ TEST_F(AsyncTest, ConcurrentSerdeFetchesWithoutCacheAllMatch) {
   // reader must still see every value.
   constexpr int kObjects = 8;
   auto store = std::make_shared<Store>(
-      "async-flight-serde", std::make_shared<AdapterConnector>(),
+      "async-flight-serde", std::make_shared<SlowGetConnector>(),
       Store::Options{.cache_size = 0});
   std::vector<Key> keys;
   std::vector<std::string> expected;

@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -146,9 +145,7 @@ TEST_P(ConnectorLaws, GetBatchMatchesPerKeyGet) {
   EXPECT_EQ(expected[0], "alpha");
   EXPECT_EQ(expected[1], std::nullopt);
   EXPECT_EQ(connector_->get_batch(keys), expected);
-  EXPECT_EQ(connector_->get_batch_async(keys).get(), expected);
   EXPECT_TRUE(connector_->get_batch({}).empty());
-  EXPECT_TRUE(connector_->get_batch_async({}).get().empty());
 }
 
 TEST_P(ConnectorLaws, ExistsBatchMatchesPerKeyExists) {
@@ -410,55 +407,6 @@ TEST(RedisConnector, MissingServerThrowsAtConstruction) {
   ConnectorEnv env;
   proc::ProcessScope scope(*env.process);
   EXPECT_THROW(RedisConnector("redis://host/none"), NotRegisteredError);
-}
-
-// A one-key MGET is charged like a GET unless the value is shorter than 8
-// bytes: micro_rpc's connector ladder issues one-key get_batch_async reads
-// and its blessed series rest on this.
-TEST(RedisConnector, OneKeyGetBatchAsyncMatchesGetInBytesAndVtime) {
-  ConnectorEnv env;
-  // Twin servers with the same contents and the same request history, so
-  // the sync and async reads see identical queues and channels.
-  kv::KvServer::start(*env.world, "host", "sync");
-  kv::KvServer::start(*env.world, "host", "async");
-  proc::ProcessScope scope(*env.process);
-  RedisConnector sync(kv::kv_address("host", "sync"));
-  RedisConnector async(kv::kv_address("host", "async"));
-  const core::Key present{.object_id = "present", .meta = {}};
-  const core::Key tiny{.object_id = "tiny", .meta = {}};
-  const core::Key missing{.object_id = "missing", .meta = {}};
-  for (RedisConnector* c : {&sync, &async}) {
-    ASSERT_TRUE(c->put_at(present, pattern_bytes(4096, 3)));
-    ASSERT_TRUE(c->put_at(tiny, Bytes("abc")));
-  }
-
-  sim::VtimeGuard guard;
-  double start = 1.0;
-  // Reads `key` both ways, each issued at `start`; checks that they return
-  // the same bytes and returns the get's value and both completion vtimes.
-  const auto read_both = [&](const core::Key& key) {
-    sim::vset(start);
-    const std::optional<Bytes> got = sync.get(key);
-    const double get_done = sim::vnow();
-    sim::vset(start);
-    const core::Future<std::vector<std::optional<Bytes>>> future =
-        async.get_batch_async({key});
-    EXPECT_EQ(sim::vnow(), start);  // issuing does not advance the caller
-    const std::vector<std::optional<Bytes>>& batch = future.wait();
-    EXPECT_EQ(batch, std::vector<std::optional<Bytes>>{got});
-    start += 1.0;
-    return std::tuple{got, get_done, future.done_vtime()};
-  };
-
-  const auto [present_value, present_get, present_batch] = read_both(present);
-  EXPECT_EQ(present_value, pattern_bytes(4096, 3));
-  EXPECT_EQ(present_batch, present_get);
-  const auto [missing_value, missing_get, missing_batch] = read_both(missing);
-  EXPECT_EQ(missing_value, std::nullopt);
-  EXPECT_EQ(missing_batch, missing_get);
-  const auto [tiny_value, tiny_get, tiny_batch] = read_both(tiny);
-  EXPECT_EQ(tiny_value, "abc");
-  EXPECT_GT(tiny_batch, tiny_get);  // 3 bytes, charged as 8
 }
 
 // ---------------------------------------------------------------------------

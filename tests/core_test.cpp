@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "connectors/access.hpp"
 #include "connectors/local.hpp"
 #include "connectors/redis.hpp"
 #include "core/cache.hpp"
@@ -19,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "proc/world.hpp"
 #include "serde/serde.hpp"
+#include "swarm/chaos.hpp"
 
 namespace ps::core {
 namespace {
@@ -892,38 +898,6 @@ TEST_F(MultiTest, ExistsAndEvictBatchForwardGroupsAsBatches) {
   EXPECT_EQ(multi.exists_batch(keys), expected);
 }
 
-TEST_F(MultiTest, GetBatchAsyncReturnsValuesInRequestOrder) {
-  proc::ProcessScope scope(*producer_);
-  auto small = std::make_shared<BatchCountingConnector>("count-small");
-  auto large = std::make_shared<BatchCountingConnector>("count-large");
-  MultiConnector multi = counting_multi(small, large);
-  const std::vector<Bytes> items = {pattern_bytes(10, 0),
-                                    pattern_bytes(4000, 1),
-                                    pattern_bytes(20, 2),
-                                    pattern_bytes(8000, 3)};
-  const std::vector<Key> keys = multi.put_batch(items);
-
-  // Single child: the child's own get_batch_async serves the whole batch.
-  const auto single = multi.get_batch_async({keys[2], keys[0]}).get();
-  ASSERT_EQ(single.size(), 2u);
-  EXPECT_EQ(single[0], items[2]);
-  EXPECT_EQ(single[1], items[0]);
-  EXPECT_EQ(small->get_batch_calls, 1);
-  EXPECT_EQ(large->get_batch_calls, 0);
-
-  // Cross child: one batch per child, scattered back into request order.
-  const std::vector<Key> mixed{keys[3], keys[0], keys[1], keys[2]};
-  const auto values = multi.get_batch_async(mixed).get();
-  ASSERT_EQ(values.size(), mixed.size());
-  EXPECT_EQ(values[0], items[3]);
-  EXPECT_EQ(values[1], items[0]);
-  EXPECT_EQ(values[2], items[1]);
-  EXPECT_EQ(values[3], items[2]);
-  EXPECT_EQ(small->get_batch_calls, 2);
-  EXPECT_EQ(large->get_batch_calls, 1);
-  EXPECT_EQ(small->gets + large->gets, 0);
-}
-
 TEST(Instrumented, PutBatchRecordsBatchSizeMetricAndForwards) {
   obs::set_enabled(true);
   auto world = proc::World::make_local();
@@ -999,6 +973,50 @@ TEST(Instrumented, RedisExistsBatchIsOneRequestAndOneBatchOp) {
   ASSERT_NE(items_hist, nullptr);
   EXPECT_EQ(items_hist->count(), 1u);
   EXPECT_DOUBLE_EQ(items_hist->mean(), 8.0);
+}
+
+// Every decorator forwards each batch verb as one batch carrying every item,
+// so a pipelined inner connector keeps its one round trip per batch.
+TEST(Decorators, ForwardEachBatchVerbAsOneBatch) {
+  auto world = proc::World::make_local();
+  proc::ProcessScope scope(world->spawn("p", "localhost"));
+  using Wrap =
+      std::function<std::shared_ptr<Connector>(std::shared_ptr<Connector>)>;
+  const std::vector<std::pair<std::string, Wrap>> decorators = {
+      {"instrumented",
+       [](std::shared_ptr<Connector> inner) {
+         return std::make_shared<InstrumentedConnector>(std::move(inner));
+       }},
+      {"access",
+       [](std::shared_ptr<Connector> inner) {
+         return std::make_shared<connectors::AccessControlConnector>(
+             std::move(inner), std::set<std::string>{"local"});
+       }},
+      {"chaos", [](std::shared_ptr<Connector> inner) {
+         return std::make_shared<swarm::FaultInjectedConnector>(
+             std::move(inner));
+       }}};
+  const std::vector<Bytes> items = {pattern_bytes(10, 0), pattern_bytes(20, 1),
+                                    pattern_bytes(30, 2)};
+  for (const auto& [name, wrap] : decorators) {
+    SCOPED_TRACE(name);
+    auto counting = std::make_shared<BatchCountingConnector>("fwd-" + name);
+    const std::shared_ptr<Connector> decorator = wrap(counting);
+    const std::vector<Key> keys = decorator->put_batch(items);
+    EXPECT_EQ(decorator->get_batch(keys).size(), items.size());
+    EXPECT_EQ(decorator->exists_batch(keys),
+              std::vector<bool>(items.size(), true));
+    decorator->evict_batch(keys);
+    EXPECT_EQ(counting->batch_calls, 1);
+    EXPECT_EQ(counting->batch_items, items.size());
+    EXPECT_EQ(counting->get_batch_calls, 1);
+    EXPECT_EQ(counting->get_batch_items, items.size());
+    EXPECT_EQ(counting->exists_batch_calls, 1);
+    EXPECT_EQ(counting->exists_batch_items, items.size());
+    EXPECT_EQ(counting->evict_batch_calls, 1);
+    EXPECT_EQ(counting->evict_batch_items, items.size());
+    EXPECT_EQ(counting->puts + counting->gets, 0);
+  }
 }
 
 // ------------------------------------------------- connector registry ----

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
@@ -171,6 +175,50 @@ TEST_F(KvTest, PipelinedSetManyCheaperThanIndividualSets) {
   client.set_many(pairs);
   // One round trip instead of 32.
   EXPECT_LT(batched.elapsed(), one_by_one / 8.0);
+}
+
+// A one-key MGET is charged like a GET unless the value is shorter than 8
+// bytes: micro_rpc's kv ladder issues one-key get_many_async reads and its
+// blessed series rest on this.
+TEST_F(KvTest, OneKeyGetManyAsyncMatchesGetInBytesAndVtime) {
+  // Twin servers with the same contents and the same request history, so
+  // the sync and async reads see identical queues and channels.
+  KvServer::start(*world_, "server-host", "sync");
+  KvServer::start(*world_, "server-host", "async");
+  proc::ProcessScope scope(*client_proc_);
+  KvClient sync(kv_address("server-host", "sync"));
+  KvClient async(kv_address("server-host", "async"));
+  for (KvClient* c : {&sync, &async}) {
+    c->set("present", pattern_bytes(4096, 3));
+    c->set("tiny", "abc");
+  }
+
+  sim::VtimeGuard guard;
+  double start = 1.0;
+  // Reads `key` both ways, each issued at `start`; checks that they return
+  // the same bytes and returns the get's value and both completion vtimes.
+  const auto read_both = [&](const std::string& key) {
+    sim::vset(start);
+    const std::optional<Bytes> got = sync.get(key);
+    const double get_done = sim::vnow();
+    sim::vset(start);
+    const core::Future<std::vector<std::optional<Bytes>>> future =
+        async.get_many_async({key});
+    EXPECT_EQ(sim::vnow(), start);  // issuing does not advance the caller
+    EXPECT_EQ(future.wait(), std::vector<std::optional<Bytes>>{got});
+    start += 1.0;
+    return std::tuple{got, get_done, future.done_vtime()};
+  };
+
+  const auto [present_value, present_get, present_many] = read_both("present");
+  EXPECT_EQ(present_value, pattern_bytes(4096, 3));
+  EXPECT_EQ(present_many, present_get);
+  const auto [missing_value, missing_get, missing_many] = read_both("missing");
+  EXPECT_EQ(missing_value, std::nullopt);
+  EXPECT_EQ(missing_many, missing_get);
+  const auto [tiny_value, tiny_get, tiny_many] = read_both("tiny");
+  EXPECT_EQ(tiny_value, "abc");
+  EXPECT_GT(tiny_many, tiny_get);  // 3 bytes, charged as 8
 }
 
 TEST_F(KvTest, FlushAllEmptiesStore) {

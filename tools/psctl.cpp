@@ -521,6 +521,7 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
                           std::make_shared<connectors::FileConnector>(
                               file_dir)));
     core::register_store(local, /*overwrite=*/true);
+    core::register_store(file, /*overwrite=*/true);
     for (auto& store : {local, file}) {
       for (int i = 0; i < 16; ++i) {
         const std::string value(std::size_t{1} << (8 + i % 8), 'x');
@@ -535,21 +536,20 @@ int run_instrumented_demo(testbed::Testbed& tb, std::string* subject_out) {
       store->exists(core::Key{.object_id = "no-such-object", .meta = {}});
     }
 
-    // Async path: a batched resolve and an async proxy resolve, so the
+    // Async path: a batched resolve and async proxy resolves, so the
     // async.executor.* queue/saturation metrics and the per-connector
-    // get_batch series have data. The file store's one-key get_batch_async
-    // reads ride the executor adapter over files the file store wrote, so
-    // each job pays a disk read and demo.async.service.p99 has samples.
+    // get_batch series have data. Each file-store proxy's resolve_async is
+    // an executor job that reads a file the file store wrote, so each job
+    // pays a disk read and demo.async.service.p99 has samples.
     {
       std::vector<std::string> values(8, std::string(1024, 'a'));
       const std::vector<core::Key> keys = local->put_batch(values);
       local->resolve_batch<std::string>(keys);
-      std::vector<core::Future<std::vector<std::optional<Bytes>>>> reads;
-      for (const core::Key& key : file->put_batch(values)) {
-        reads.push_back(file->connector().get_batch_async({key}));
-      }
-      for (auto& read : reads) {
-        if (!read.wait().front()) {
+      const std::vector<core::Proxy<std::string>> reads =
+          file->proxy_batch(values);
+      for (const auto& read : reads) read.resolve_async();
+      for (const auto& read : reads) {
+        if (read.resolve() != values.front()) {
           std::fprintf(stderr, "psctl: demo file read missed\n");
           return 1;
         }
